@@ -46,8 +46,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     text = args.config.read_text() if args.config else ""
     try:
-        cfg = parse_config(text)
-        cfg.experiment = args.experiment
+        cfg = parse_config(text, experiment=args.experiment)
         if args.seed is not None:
             cfg.sim = dataclasses.replace(cfg.sim, seed=args.seed)
 

@@ -115,8 +115,12 @@ def _parse_value(key: str, raw: str, lineno: int):
         raise ParseError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     """Parse a config document into a RunConfig with all defaults filled.
+
+    `experiment`, when given, replaces the document's `experiment` key (the
+    CLI passes its positional argument), so the checks that depend on the
+    experiment see the one that will run.
 
     Raises ParseError with the offending line for syntax problems and
     ValidationError citing the violated invariant for bad values.
@@ -166,7 +170,7 @@ def parse_config(text: str) -> RunConfig:
             restart=take("solver.restart", 60),
             drop_tol=take("solver.drop_tol", 1e-2),
             fill_factor=take("solver.fill_factor", 10.0),
-            polish_factor=take("solver.polish_factor", 1e-3),
+            polish_factor=take("solver.polish_factor", 1.0),
         )
         init = OscState(
             x=take("sim.init_x", 0.0),
@@ -186,7 +190,8 @@ def parse_config(text: str) -> RunConfig:
     except (ValueError, BepoError) as exc:  # dataclass validators
         raise ValidationError(str(exc)) from exc
 
-    experiment = take("experiment", "solve")
+    if experiment is None:
+        experiment = take("experiment", "solve")
     if experiment not in EXPERIMENTS:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
@@ -194,6 +199,8 @@ def parse_config(text: str) -> RunConfig:
     sweep = take("sweep.values", ())
     if experiment in ("crossing-sweep", "serviceability-sweep") and not sweep:
         raise ValidationError(f"{experiment} needs a nonempty sweep.values")
+    if experiment == "serviceability-sweep" and not all(v >= 0 for v in sweep):
+        raise ValidationError("serviceability-sweep needs sweep.values >= 0")
     observable = take("observable.kind", "crossing")
     if observable not in ("crossing", "band", "constant"):
         raise ValidationError(f"unknown observable.kind {observable!r}")

@@ -10,7 +10,7 @@ class AssumptionViolation(BepoError):
 
 
 class NonFiniteState(BepoError):
-    """A simulated state component became NaN or infinite."""
+    """A simulated state or a solver right-hand side became NaN or infinite."""
 
 
 class DegenerateInput(BepoError):
@@ -45,7 +45,7 @@ class NoConvergence(BepoError):
 
 
 class PreconditionerBreakdown(BepoError):
-    """Incomplete factorization hit a zero pivot, even after diagonal shift."""
+    """Incomplete factorization hit a zero pivot in both orderings tried."""
 
 
 class ShapeMismatch(BepoError):

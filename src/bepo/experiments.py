@@ -153,29 +153,31 @@ def _mc_levels(cfg: RunConfig, levels, kind: str):
     return [obs.probability(i) for i in range(len(levels))]
 
 
-def _pde_sweep(cfg: RunConfig, levels, kind: str, threads: int = 1):
-    """Solve the resolvent system for each sweep level; ordered by input.
+def _level_observable(cfg: RunConfig, level: float, kind: str) -> Observable:
+    """The crossing or band observable of one sweep level."""
+    if kind == "band":
+        return plastic_band(level)
+    if abs(level) > cfg.grid.x_bar:
+        warnings.warn(
+            f"crossing level a1={level:g} lies outside the truncation box "
+            f"(x_bar={cfg.grid.x_bar:g}); the statistic will be near zero"
+        )
+    return mollified_crossing_speed(level, cfg.resolved_eps0())
 
-    All levels share the grid and matrix, so the incomplete factorization
-    is built once and reused (this dominates the cost; the levels then run
-    sequentially regardless of the thread count).
+
+def _pde_sweep(cfg: RunConfig, observables) -> list[SolveReport]:
+    """Solve the resolvent system for each observable; ordered by input.
+
+    All observables share the grid and matrix, so the matrix is assembled
+    and factored once and every right-hand side reuses the factorization
+    (which dominates the cost).
     """
     grid = build_grid(cfg.grid)
     lam = cfg.grid.lam
     solver = ResolventSolver(assemble_matrix(grid, cfg.model, lam), cfg.solver)
 
     reports = []
-    for level in levels:
-        if kind == "crossing" and abs(level) > cfg.grid.x_bar:
-            warnings.warn(
-                f"crossing level a1={level:g} lies outside the truncation box "
-                f"(x_bar={cfg.grid.x_bar:g}); the statistic will be near zero"
-            )
-        g = (
-            mollified_crossing_speed(level, cfg.resolved_eps0())
-            if kind == "crossing"
-            else plastic_band(level)
-        )
+    for g in observables:
         report = solver.solve(assemble_rhs(grid, g, lam))
         report.statistic, report.spread = evaluate_statistic(report.v, grid)
         report.bound_violations = magnitude_violations(
@@ -185,10 +187,10 @@ def _pde_sweep(cfg: RunConfig, levels, kind: str, threads: int = 1):
     return reports
 
 
-def _sweep_common(cfg: RunConfig, out: Path, kind: str, threads: int = 1):
+def _sweep_common(cfg: RunConfig, out: Path, kind: str):
     t0 = time.perf_counter()
     levels = list(cfg.sweep)
-    reports = _pde_sweep(cfg, levels, kind, threads)
+    reports = _pde_sweep(cfg, [_level_observable(cfg, lv, kind) for lv in levels])
     mc = _mc_levels(cfg, levels, kind) if cfg.mc_enabled else [(float("nan"), float("nan"))] * len(levels)
 
     name = "a1,nu_pde,nu_mc,nu_mc_se" if kind == "crossing" else "a2,P_pde,P_mc,P_mc_se"
@@ -235,13 +237,13 @@ def _write_plot_script(out: Path, csv_name: str, kind: str) -> None:
 
 def run_crossing_sweep(cfg: RunConfig, out: Path, threads: int = 1):
     """nu(a1) for each sweep value by the PDE route, plus MC when enabled."""
-    return _sweep_common(cfg, out, "crossing", threads)
+    return _sweep_common(cfg, out, "crossing")
 
 
 def run_serviceability_sweep(cfg: RunConfig, out: Path, threads: int = 1):
     """P(a2) for each sweep value; the MC column shares one sample set and
     is therefore exactly nondecreasing in a2."""
-    return _sweep_common(cfg, out, "band", threads)
+    return _sweep_common(cfg, out, "band")
 
 
 def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
@@ -307,15 +309,20 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
     """Both routes at matched settings for crossing and band observables.
 
     Crossing levels come from cfg.sweep when given (else a1); band radii
-    from cfg.a2. Emits one comparison row per (kind, level).
+    from cfg.a2. One factorization serves both kinds. Emits one comparison
+    row per (kind, level).
     """
     t0 = time.perf_counter()
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
     a2_levels = [cfg.a2]
 
     rows = []
-    cross_reports = _pde_sweep(cfg, a1_levels, "crossing", threads)
-    band_reports = _pde_sweep(cfg, a2_levels, "band", threads)
+    reports = _pde_sweep(
+        cfg,
+        [_level_observable(cfg, lv, "crossing") for lv in a1_levels]
+        + [_level_observable(cfg, lv, "band") for lv in a2_levels],
+    )
+    cross_reports, band_reports = reports[: len(a1_levels)], reports[len(a1_levels) :]
     sim = cfg.sim
     cobs = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
     bobs = BandObserver(a2_levels, sim.n_paths)

@@ -1,10 +1,10 @@
 """Krylov solve of the resolvent system and extraction of the statistic.
 
-Restarted GMRES with a threshold incomplete-LU preconditioner applied on the
-right, so residuals are residuals of the original system. After the residual
-target is met the iteration is allowed to keep polishing (down to
-rel_tol * polish_factor) because downstream symmetry checks compare solution
-values from independently solved mirror systems.
+Restarted GMRES, preconditioned on the left by a threshold incomplete LU in
+the natural node order. scipy's GMRES iterates on the preconditioned residual
+but ends each restart cycle on the true residual ||b - M v||, and the solver
+recomputes that residual once more before it accepts a solution, so every
+returned field meets rel_tol on the original system.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
-from .errors import NoConvergence, PreconditionerBreakdown
+from .errors import NoConvergence, NonFiniteState, PreconditionerBreakdown
 from .grid import Grid
 
 __all__ = [
@@ -35,11 +35,14 @@ class SolverConfig:
     """Iteration and preconditioner knobs.
 
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
+    max_iters     : GMRES restart cycles
     restart       : GMRES restart length
     drop_tol      : ILU threshold drop tolerance
     fill_factor   : ILU fill bound
-    polish_factor : keep iterating toward rel_tol * polish_factor; only
-                    failing rel_tol itself raises NoConvergence
+    polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
+                    above rel_tol itself raises NoConvergence. Values below
+                    1 buy digits that no statistic needs, and can stall GMRES
+                    near the rounding floor of the preconditioned system.
     """
 
     rel_tol: float = 1e-10
@@ -47,7 +50,7 @@ class SolverConfig:
     restart: int = 60
     drop_tol: float = 1e-2
     fill_factor: float = 10.0
-    polish_factor: float = 1e-3
+    polish_factor: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
@@ -77,35 +80,23 @@ class SolveReport:
 
 
 def _ilu(csc: sp.csc_matrix, cfg: SolverConfig):
-    """Incomplete LU with a fallback ladder.
+    """Threshold incomplete LU in the natural node order.
 
-    A tight drop tolerance under a fill cap can leave SuperLU with an
-    exactly-zero pivot; retry first with a small diagonal shift, then with
-    progressively looser dropping (sparser factor, more Krylov work).
+    The natural order follows the grid's lexicographic numbering; on these
+    stencils it gives about half the fill of a COLAMD ordering and factors
+    faster. If SuperLU meets an exactly-zero pivot in that order, the
+    factorization is retried once under COLAMD, with a warning. Raises
+    PreconditionerBreakdown when both orders fail.
     """
-    last = None
-    shift = 1e-8 * abs(csc.diagonal()).max()
-    shifted = None
-    for relax in (1.0, 10.0, 100.0):
-        drop = cfg.drop_tol * relax
-        try:
-            ilu = spla.spilu(csc, drop_tol=drop, fill_factor=cfg.fill_factor)
-            if relax > 1.0:
-                warnings.warn(f"ILU fell back to drop_tol={drop:g}")
-            return ilu
-        except RuntimeError as exc:
-            last = exc
-        if shifted is None:
-            shifted = (csc + shift * sp.identity(csc.shape[0], format="csc")).tocsc()
-        try:
-            ilu = spla.spilu(shifted, drop_tol=drop, fill_factor=cfg.fill_factor)
-            warnings.warn(
-                f"ILU needed a diagonal shift of {shift:.3e} at drop_tol={drop:g}"
-            )
-            return ilu
-        except RuntimeError as exc:
-            last = exc
-    raise PreconditionerBreakdown(str(last)) from last
+    opts = dict(drop_tol=cfg.drop_tol, fill_factor=cfg.fill_factor)
+    try:
+        return spla.spilu(csc, permc_spec="NATURAL", **opts)
+    except RuntimeError as exc:
+        warnings.warn(f"ILU fell back to the COLAMD ordering: {exc}")
+    try:
+        return spla.spilu(csc, permc_spec="COLAMD", **opts)
+    except RuntimeError as exc:
+        raise PreconditionerBreakdown(str(exc)) from exc
 
 
 class ResolventSolver:
@@ -132,18 +123,24 @@ class ResolventSolver:
                 self.ilu = spla.splu(self.A.tocsc())
             except RuntimeError as exc:
                 raise PreconditionerBreakdown(str(exc)) from exc
-        self._right = spla.LinearOperator(
-            (self.n, self.n), matvec=lambda w: self.A @ self.ilu.solve(w)
+        # a bound method of the factor, so the operator holds no reference
+        # back to the solver and a spent solver is freed by refcounting
+        self._precond = spla.LinearOperator(
+            (self.n, self.n), matvec=self.ilu.solve, dtype=float
         )
 
     def solve(self, b: np.ndarray) -> SolveReport:
         """Solve M v = b to ||M v - b|| <= rel_tol * ||b||.
 
         Deterministic: no randomized components, fixed reduction order.
-        Raises NoConvergence when the iteration budget is exhausted or the
-        residual stagnates above the target.
+        Raises NonFiniteState for a NaN or infinite right-hand side, and
+        NoConvergence when the recomputed true residual is above the target
+        or not finite.
         """
         cfg = self.cfg
+        bad = np.count_nonzero(~np.isfinite(b))
+        if bad:
+            raise NonFiniteState(f"right-hand side has {bad} non-finite entries")
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             return SolveReport(v=np.zeros(self.n), residual=0.0, iterations=0)
@@ -154,41 +151,21 @@ class ResolventSolver:
             nonlocal iters
             iters += 1
 
-        # scipy's internal residual estimate can underflow while the true
-        # residual stagnates, so convergence is controlled here: run bounded
-        # restart chunks and measure the true residual after each.
-        accept = cfg.rel_tol * bnorm
-        polish = accept * cfg.polish_factor
-        chunk = 2  # restart cycles per chunk
-        w = None
-        best_v, best_res = np.zeros(self.n), bnorm
-        prev = np.inf
-        cycles = 0
-        while cycles < cfg.max_iters:
-            w, _ = spla.gmres(
-                self._right,
-                b,
-                x0=w,
-                rtol=1e-16,
-                atol=0.0,
-                restart=cfg.restart,
-                maxiter=chunk,
-                callback=count,
-                callback_type="pr_norm",
-            )
-            cycles += chunk
-            v = self.ilu.solve(w)
-            res = float(np.linalg.norm(b - self.A @ v))
-            if res < best_res:
-                best_v, best_res = v, res
-            if best_res <= polish:
-                break
-            if res > 0.9 * prev:
-                break  # a full chunk without meaningful progress
-            prev = res
-        if best_res > accept:
-            raise NoConvergence(iters, best_res / bnorm)
-        return SolveReport(v=best_v, residual=best_res, iterations=iters)
+        v, _ = spla.gmres(
+            self.A,
+            b,
+            M=self._precond,
+            rtol=cfg.rel_tol * cfg.polish_factor,
+            atol=0.0,
+            restart=cfg.restart,
+            maxiter=cfg.max_iters,
+            callback=count,
+            callback_type="pr_norm",
+        )
+        res = float(np.linalg.norm(b - self.A @ v))
+        if not res <= cfg.rel_tol * bnorm:
+            raise NoConvergence(iters, res / bnorm)
+        return SolveReport(v=v, residual=res, iterations=iters)
 
 
 def solve_resolvent(sys: SparseSystem, cfg: SolverConfig | None = None) -> SolveReport:

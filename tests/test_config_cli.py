@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,25 @@ def test_validation_error_on_even_grid():
 def test_sweep_required_for_sweep_experiments():
     with pytest.raises(ValidationError):
         parse_config("experiment = crossing-sweep")
+
+
+@pytest.mark.parametrize("values", ["-0.5, 1", "0.5, nan"])
+def test_serviceability_sweep_rejects_negative_values(values):
+    with pytest.raises(ValidationError, match="sweep.values >= 0"):
+        parse_config(f"experiment = serviceability-sweep\nsweep.values = {values}\n")
+    # crossing levels may be negative
+    parse_config("experiment = crossing-sweep\nsweep.values = -0.5, 1\n")
+
+
+def test_cli_experiment_is_validated_before_the_run(tmp_path, capsys):
+    """The positional experiment, not the document's key, is what the
+    checks see: a negative band radius fails before any assembly."""
+    config = tmp_path / "run.cfg"
+    config.write_text("sweep.values = -0.5, 1\n")
+    rc = main(["serviceability-sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "sweep.values >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_comments_and_blank_lines():
@@ -155,6 +175,19 @@ def test_cli_error_path(tmp_path, capsys):
     rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_solve_with_nan_level_fails_fast(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n"
+        "observable.eps0 = 1.0\nobservable.a1 = nan\n"
+    )
+    t0 = time.perf_counter()
+    rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_mc(tmp_path):

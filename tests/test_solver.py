@@ -1,14 +1,18 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bepo.assembly import assemble_matrix, assemble_rhs, assemble_system
-from bepo.errors import NoConvergence
+from bepo.errors import NoConvergence, NonFiniteState
 from bepo.grid import GridSpec, build_grid
 from bepo.model import ModelParams
-from bepo.observables import constant_observable, mollified_crossing_speed
+from bepo.observables import constant_observable, mollified_crossing_speed, plastic_band
 from bepo.solver import (
+    ResolventSolver,
     SolverConfig,
     evaluate_statistic,
     magnitude_violations,
@@ -137,3 +141,70 @@ def test_direct_fallback_matches_gmres(grid9, matrix9):
     direct = solve_direct(matrix9)
     assert np.abs(direct.v - iterative.v).max() < 1e-8
     assert direct.residual <= 1e-8 * np.linalg.norm(matrix9.rhs)
+
+
+def test_non_finite_rhs_raises_before_iterating(grid9, matrix9, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("GMRES ran on a non-finite right-hand side")
+
+    monkeypatch.setattr(spla, "gmres", never)
+    solver = ResolventSolver(matrix9)
+    for bad in (np.nan, np.inf):
+        b = np.ones(matrix9.n)
+        b[5] = bad
+        with pytest.raises(NonFiniteState):
+            solver.solve(b)
+
+
+def test_inaccurate_gmres_result_with_success_flag_raises(grid9, matrix9, monkeypatch):
+    """The accepted field is checked against the true residual, whatever
+    GMRES reports: a vector a couple of iterations short of the target that
+    comes back with info = 0 must not pass."""
+    real_gmres = spla.gmres
+
+    def short(A, b, **kwargs):
+        kwargs.update(restart=2, maxiter=1)
+        x, _ = real_gmres(A, b, **kwargs)
+        return x, 0
+
+    monkeypatch.setattr(spla, "gmres", short)
+    b = assemble_rhs(grid9, mollified_crossing_speed(0.0, 1.0), 1e-2)
+    with pytest.raises(NoConvergence) as info:
+        ResolventSolver(matrix9).solve(b)
+    assert info.value.residual > SolverConfig().rel_tol
+
+
+def test_spent_solver_is_freed_without_the_cycle_collector(grid9, matrix9):
+    solver = ResolventSolver(matrix9)
+    solver.solve(assemble_rhs(grid9, constant_observable(1.0), 1e-2))
+    ref = weakref.ref(solver)
+    gc.disable()
+    try:
+        del solver
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _band_system(I, J, K, lam=1e-2):
+    grid = build_grid(GridSpec(lam=lam, I=I, J=J, K=K))
+    return grid, assemble_matrix(grid, MODEL, lam)
+
+
+def test_elongated_band_system_solves_to_rel_tol():
+    """65x17x21 at lam = 1e-2, band a2 = 3/8: right-preconditioned GMRES on
+    a COLAMD-ordered ILU stalled here near 1e-6."""
+    grid, matrix = _band_system(65, 17, 21)
+    b = assemble_rhs(grid, plastic_band(3.0 / 8.0), 1e-2)
+    cfg = SolverConfig()
+    rep = ResolventSolver(matrix, cfg).solve(b)
+    assert rep.residual <= cfg.rel_tol * np.linalg.norm(b)
+    assert np.linalg.norm(b - matrix.to_csr() @ rep.v) == pytest.approx(rep.residual)
+
+
+def test_natural_order_zero_pivot_falls_back_to_colamd():
+    grid, matrix = _band_system(65, 21, 13)
+    with pytest.warns(UserWarning, match="^ILU fell back to the COLAMD ordering"):
+        solver = ResolventSolver(matrix)
+    b = assemble_rhs(grid, plastic_band(3.0 / 8.0), 1e-2)
+    assert solver.solve(b).residual <= solver.cfg.rel_tol * np.linalg.norm(b)
