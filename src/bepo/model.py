@@ -11,6 +11,7 @@ which is the family needed to extract explicit energy-inequality constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import AssumptionViolation
@@ -37,6 +38,12 @@ class ForceSpec:
     c1: float = 0.0
     const: float = 0.0
 
+    def __post_init__(self):
+        for name in ("c0", "c1", "const"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"force {name} must be finite, got {value}")
+
     def __call__(self, x, y):
         return -self.c0 * y + self.c1 * x + self.const
 
@@ -61,14 +68,14 @@ class ModelParams:
     force: ForceSpec = field(default_factory=ForceSpec)
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.b > 0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b must be finite and > 0, got {self.b}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def drift_beta(x, y, z, p: ModelParams):

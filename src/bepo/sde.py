@@ -14,13 +14,22 @@ by machine-exact comparison against the clamp output.
 
 Paths are vectorized: the engine advances all paths in lock-step, drawing
 each path's noise from its own generator keyed by (seed, path index), so
-results do not depend on block size or worker count. Observers consume
-blocks of states shaped (steps, n_paths) after burn-in.
+results do not depend on block size, on the number of paths or on worker
+count. Noise is drawn a block at a time, path-major (one contiguous
+standard_normal call per path into a reused (n_paths, block) buffer). Each
+step runs on preallocated arrays with `out=` ufuncs in the operation order
+of drift_beta and step_euler, so every sample is bit-identical to the
+scalar step_euler, which stays as the oracle.
+
+Observers consume blocks of states shaped (steps, n_paths) after burn-in.
+The blocks are views of buffers that the next block overwrites, so an
+observer copies whatever it keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,8 +96,13 @@ class SimConfig:
     init: OscState = field(default_factory=lambda: OscState(0.0, 0.0, 0.0))
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        init = self.init
+        if not all(math.isfinite(v) for v in (init.x, init.y, init.z)):
+            raise ValueError(f"init must be finite, got {init}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.effective_burn_in >= self.n_steps:
@@ -142,49 +156,88 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
 
     Each observer is called as observer.update(t0, xs, ys, zs) with arrays
     of shape (steps_in_block, n_paths), where t0 is the time of the block's
-    first row. Raises NonFiniteState if any component leaves the finite
-    range. Returns the final (x, y, z) arrays.
+    first row. The arrays are views of buffers that the next block
+    overwrites: an observer must copy whatever it keeps. Raises
+    NonFiniteState if any component leaves the finite range. Returns the
+    final (x, y, z) arrays.
+
+    Path i is bit-identical to iterating step_euler with the increments
+    sqrt(dt) * standard_normal of its own (seed, i) stream, whatever the
+    block size and the number of paths. Per block, the noise is drawn
+    path-major into one reused buffer, scaled in place by sqrt(dt) and then
+    by sigma, and transposed once into the y rows; each step then runs the
+    operations of drift_beta and step_euler in their order, with `out=`
+    ufuncs writing straight into the block's rows.
     """
     rngs = _path_generators(cfg.seed, cfg.n_paths)
     npth = cfg.n_paths
+    dt = cfg.dt
+    sqdt = np.sqrt(dt)
+    burn = cfg.effective_burn_in
+    rows = min(block, cfg.n_steps)
+    noise = np.empty((npth, rows))
+    xs = np.empty((rows, npth))
+    ys = np.empty((rows, npth))
+    zs = np.empty((rows, npth))
+    row_views = list(zip(xs, ys, zs))
     x = np.full(npth, float(cfg.init.x))
     y = np.full(npth, float(cfg.init.y))
     z = np.full(npth, float(cfg.init.z))
-    dt = cfg.dt
-    sig = p.sigma
-    sqdt = np.sqrt(dt)
-    b = p.b
-    burn = cfg.effective_burn_in
+    beta = np.empty(npth)
+    tmp = np.empty(npth)
+
+    # constants as arrays: an array-array ufunc call is cheaper than one
+    # that converts a Python scalar, and the values are the same doubles
+    def const(v):
+        return np.full(npth, v)
+
+    f = p.force
+    neg_c0, c1, c = const(-f.c0), const(f.c1), const(f.const)
+    k_z, k_x = const(p.k * (1.0 - p.alpha)), const(p.k * p.alpha)
+    dt_c, lo, hi = const(dt), const(-p.b), const(p.b)
+    # positional `out` on local names: the loop below is call overhead
+    mul, add, sub = np.multiply, np.add, np.subtract
 
     done = 0
     while done < cfg.n_steps:
-        nb = min(block, cfg.n_steps - done)
-        dW = np.empty((nb, npth))
+        nb = min(rows, cfg.n_steps - done)
         for ip, rng in enumerate(rngs):
-            dW[:, ip] = rng.standard_normal(nb)
+            rng.standard_normal(out=noise[ip, :nb])
+        dW = noise[:, :nb]
         dW *= sqdt
-        xs = np.empty((nb, npth))
-        ys = np.empty((nb, npth))
-        zs = np.empty((nb, npth))
+        dW *= p.sigma
+        # row t of ys holds sigma*dW of step t until the step overwrites it
+        ys[:nb] = dW.T
+        xp, yp, zp = x, y, z
         with np.errstate(invalid="ignore", over="ignore"):
             # non-finite states are detected below; let them propagate quietly
-            for t in range(nb):
-                beta = drift_beta(x, y, z, p)
-                ydt = y * dt
-                x = x + ydt
-                y = y + beta * dt + sig * dW[t]
-                z = np.minimum(np.maximum(z + ydt, -b), b)
-                xs[t] = x
-                ys[t] = y
-                zs[t] = z
+            for xr, yr, zr in row_views[:nb]:
+                mul(neg_c0, yp, beta)  # beta = f(x, y) - k(1-alpha)z - k alpha x
+                mul(c1, xp, tmp)
+                add(beta, tmp, beta)
+                add(beta, c, beta)
+                mul(k_z, zp, tmp)
+                sub(beta, tmp, beta)
+                mul(k_x, xp, tmp)
+                sub(beta, tmp, beta)
+                mul(yp, dt_c, tmp)  # y*dt
+                add(xp, tmp, xr)
+                add(zp, tmp, zr)
+                np.maximum(zr, lo, out=zr)
+                np.minimum(zr, hi, out=zr)
+                mul(beta, dt_c, beta)
+                add(yp, beta, beta)
+                add(beta, yr, yr)  # (y + beta*dt) + sigma*dW
+                xp, yp, zp = xr, yr, zr
+        x[:], y[:], z[:] = xp, yp, zp
         done += nb
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise NonFiniteState(f"non-finite state within the first {done} steps")
-        lo = max(0, burn - (done - nb))
-        if lo < nb:
-            t0 = (done - nb + lo + 1) * dt
+        lo_row = max(0, burn - (done - nb))
+        if lo_row < nb:
+            t0 = (done - nb + lo_row + 1) * dt
             for obs in observers:
-                obs.update(t0, xs[lo:], ys[lo:], zs[lo:])
+                obs.update(t0, xs[lo_row:nb], ys[lo_row:nb], zs[lo_row:nb])
     return x, y, z
 
 
@@ -392,28 +445,34 @@ class CrossingObserver:
         self.n_samples = 0
         self.block_counts = [[] for _ in self.levels]
         self.block_sizes = []
+        # reused across blocks: deviations, and signs whose row 0 is the carry
+        self._dev = np.empty((0, n_paths))
+        self._signs = np.empty((1, n_paths), dtype=np.int8)
 
     def update(self, t0, xs, ys, zs):
         nb = xs.shape[0]
         self.n_samples += nb
         self.block_sizes.append(nb)
+        if self._dev.shape[0] < nb:
+            self._dev = np.empty(xs.shape)
+            self._signs = np.empty((nb + 1, xs.shape[1]), dtype=np.int8)
+        dev = self._dev[:nb]
+        s = self._signs[: nb + 1]
         for li, a1 in enumerate(self.levels):
-            s = np.sign(xs - a1).astype(np.int8)
-            # forward-fill zeros with the previous nonzero sign, row by row
-            filled = np.empty_like(s)
-            prev = self._carry[li].copy()
-            for t in range(nb):
-                row = s[t]
-                np.copyto(prev, row, where=row != 0)
-                filled[t] = prev
-            if self._started:
-                full = np.vstack([self._carry[li], filled])
-            else:
-                full = filled
-            hits = (full[1:] != full[:-1]) & (full[1:] != 0)
-            self.counts[li] += hits.sum(axis=0)
+            np.subtract(xs, a1, out=dev)
+            np.sign(dev, out=s[1:], casting="unsafe")
+            # before the first row there is nothing to cross from
+            s[0] = self._carry[li] if self._started else s[1]
+            if not s[1:].all():
+                # a sample exactly on the level adopts the previous sign
+                for t in np.flatnonzero(~s[1:].all(axis=1)):
+                    np.copyto(s[t + 1], s[t], where=s[t + 1] == 0)
+            # after the fill a zero only follows a zero, so every change
+            # of sign ends on a nonzero sign and is a crossing
+            hits = np.count_nonzero(s[1:] != s[:-1], axis=0)
+            self.counts[li] += hits
             self.block_counts[li].append(int(hits.sum()))
-            self._carry[li] = filled[-1]
+            self._carry[li] = s[nb]
         self._started = True
 
     def frequency(self, level_index: int):

@@ -51,6 +51,26 @@ def test_validation_error_on_even_grid():
         parse_config("grid.I = 8")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim.dt = inf",
+        "sim.dt = nan",
+        "sim.burn_in = -1",
+        "sim.init_x = inf",
+        "model.sigma = inf",
+        "model.k = inf",
+        "model.b = inf",
+        "force.c0 = nan",
+        "force.c1 = inf",
+        "force.const = nan",
+    ],
+)
+def test_validation_error_on_nonfinite_or_negative_inputs(line):
+    with pytest.raises(ValidationError):
+        parse_config(line)
+
+
 def test_sweep_required_for_sweep_experiments():
     with pytest.raises(ValidationError):
         parse_config("experiment = crossing-sweep")

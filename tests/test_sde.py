@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bepo.errors import DegenerateInput, NegativeBand, NonFiniteState
-from bepo.model import ModelParams, lyapunov_constants, lyapunov_value
+from bepo.model import ForceSpec, ModelParams, lyapunov_constants, lyapunov_value
 from bepo.sde import (
     BandObserver,
     CrossingObserver,
@@ -129,6 +129,45 @@ def test_engine_matches_scalar_stepper_bitwise():
     for n in range(cfg.n_steps):
         s = step_euler(s, cfg.dt, dW[n], MODEL)
         assert xs[n, 0] == s.x and ys[n, 0] == s.y and zs[n, 0] == s.z
+
+
+def test_engine_matches_scalar_stepper_bitwise_nondefault_model():
+    # every force and stiffness term nonzero, several paths, a block size
+    # that does not divide the horizon: the vectorized step must keep each
+    # term of drift_beta and step_euler, in their order
+    p = ModelParams(
+        k=1.3, alpha=0.2, b=0.7, sigma=0.8, force=ForceSpec(c0=0.9, c1=0.1, const=0.05)
+    )
+    cfg = SimConfig(
+        dt=5e-3, n_steps=2000, burn_in=0, seed=23, n_paths=3,
+        init=OscState(0.3, -0.2, 0.1),
+    )
+    rec = SampleRecorder()
+    simulate_paths(cfg, p, [rec], block=333)
+    xs, ys, zs = rec.arrays()
+    assert (np.abs(zs) == p.b).any(), "the clamp should be exercised"
+
+    for i in range(cfg.n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(i,)))
+        dW = rng.standard_normal(cfg.n_steps) * np.sqrt(cfg.dt)
+        s = cfg.init
+        for n in range(cfg.n_steps):
+            s = step_euler(s, cfg.dt, dW[n], p)
+            assert xs[n, i] == s.x and ys[n, i] == s.y and zs[n, i] == s.z
+
+
+def test_paths_do_not_depend_on_the_number_of_paths():
+    outs = []
+    for n_paths in (3, 5):
+        cfg = SimConfig(dt=1e-3, n_steps=1500, burn_in=0, seed=31, n_paths=n_paths)
+        rec = SampleRecorder()
+        final = simulate_paths(cfg, MODEL, [rec], block=256)
+        outs.append((rec.arrays(), final))
+    (samples3, final3), (samples5, final5) = outs
+    for a, b in zip(samples3, samples5):
+        assert np.array_equal(a, b[:, :3])
+    for a, b in zip(final3, final5):
+        assert np.array_equal(a, b[:3])
 
 
 def test_z_bounded_and_phase_consistent():
@@ -294,6 +333,54 @@ def test_observers_match_estimators_multi_block():
         assert bobs.probability(ri)[0] == serviceability_mc(xs[:, 0], zs[:, 0], a2)
 
 
+# rows are samples, columns paths; levels 0.5 and -1.0 are hit exactly
+PLANTED = np.array([
+    [0.5, 1.0, 1.0, -2.0],
+    [0.5, 0.5, 0.5, 3.0],
+    [1.0, 0.5, 0.5, -0.3],
+    [0.5, 0.5, 1.0, 0.7],
+    [0.0, 0.0, 0.5, -1.0],
+    [0.5, -1.0, 0.5, -1.5],
+    [0.5, 0.5, 0.5, 0.2],
+    [1.0, 0.5, 0.5, 0.9],
+    [-1.0, 0.5, 2.0, 0.1],
+    [-1.0, 2.0, 0.5, -0.4],
+])
+
+
+@pytest.mark.parametrize(
+    "sizes, block_counts",
+    [
+        (
+            [1, 2, 1, 3, 2, 1],
+            [[0, 3, 1, 3, 4, 1], [0, 1, 0, 2, 0, 0], [0, 0, 0, 0, 0, 0]],
+        ),
+        (
+            [2, 1, 1, 2, 1, 2, 1],
+            [[1, 2, 1, 3, 0, 4, 1], [1, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0]],
+        ),
+    ],
+)
+def test_crossing_observer_on_level_samples(sizes, block_counts):
+    # path 0 starts on the level 0.5, paths 1 and 2 sit on it across block
+    # boundaries (path 2 only touches it), path 3 hits -1.0 once
+    levels = [0.5, -1.0, 5.0]
+    dt = 1.0
+    obs = CrossingObserver(levels, dt, PLANTED.shape[1])
+    start = 0
+    for nb in sizes:
+        rows = PLANTED[start : start + nb]
+        obs.update(start * dt, rows, rows, rows)
+        start += nb
+    assert start == len(PLANTED)
+    T = (len(PLANTED) - 1) * dt
+    for li, a1 in enumerate(levels):
+        for ip in range(PLANTED.shape[1]):
+            assert obs.counts[li, ip] / T == crossing_frequency_mc(PLANTED[:, ip], dt, a1)
+    assert obs.counts.tolist() == [[4, 2, 0, 6], [0, 0, 0, 3], [0, 0, 0, 0]]
+    assert obs.block_counts == block_counts
+
+
 def test_cross_path_se_shrinks_with_more_paths():
     def se_of(n_paths):
         cfg = SimConfig(dt=1e-3, n_steps=20_000, burn_in=200, seed=1, n_paths=n_paths)
@@ -333,3 +420,37 @@ def test_simconfig_validation():
         SimConfig(n_steps=100, burn_in=100)
     with pytest.raises(ValueError):
         SimConfig(n_paths=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dt": math.inf},
+        {"dt": math.nan},
+        {"burn_in": -1},
+        {"init": OscState(math.inf, 0.0, 0.0)},
+        {"init": OscState(0.0, math.nan, 0.0)},
+    ],
+    ids=["dt-inf", "dt-nan", "burn_in-negative", "init_x-inf", "init_y-nan"],
+)
+def test_simconfig_rejects_nonfinite_and_negative_inputs(kwargs):
+    with pytest.raises(ValueError):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ModelParams(k=math.inf),
+        lambda: ModelParams(b=math.inf),
+        lambda: ModelParams(sigma=math.inf),
+        lambda: ModelParams(sigma=math.nan),
+        lambda: ForceSpec(c0=math.nan),
+        lambda: ForceSpec(c1=math.inf),
+        lambda: ForceSpec(const=-math.inf),
+    ],
+    ids=["k-inf", "b-inf", "sigma-inf", "sigma-nan", "c0-nan", "c1-inf", "const-minus-inf"],
+)
+def test_model_rejects_nonfinite_inputs(make):
+    with pytest.raises(ValueError):
+        make()
