@@ -43,15 +43,21 @@ __all__ = [
 class SparseSystem:
     """Merged triplet form of the system, 1 row per grid node.
 
-    rows/cols are 0-based internally; entries are sorted by (row, col),
-    duplicates summed, exact zeros dropped. rhs is dense, 0 at Neumann rows.
+    shape is the grid's (I, J, K), which fixes the node numbering; rows/cols
+    are 0-based internally; entries are sorted by (row, col), duplicates
+    summed, exact zeros dropped. rhs is dense, 0 at Neumann rows.
     """
 
-    n: int
+    shape: tuple[int, int, int]
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
+
+    @property
+    def n(self) -> int:
+        I, J, K = self.shape
+        return I * J * K
 
     def to_csr(self) -> sp.csr_matrix:
         return sp.csr_matrix(
@@ -194,7 +200,9 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     rows, cols, vals = _merge_triplets(
         n, np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l)
     )
-    return SparseSystem(n=n, rows=rows, cols=cols, vals=vals, rhs=np.zeros(n))
+    return SparseSystem(
+        shape=(I, J, K), rows=rows, cols=cols, vals=vals, rhs=np.zeros(n)
+    )
 
 
 def _dual_cell_bounds(count: int, half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +384,9 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         np.asarray(cols_l, dtype=np.int64),
         np.asarray(vals_l, dtype=np.float64),
     )
-    return SparseSystem(n=n, rows=rows, cols=cols, vals=vals, rhs=np.zeros(n))
+    return SparseSystem(
+        shape=(I, J, K), rows=rows, cols=cols, vals=vals, rhs=np.zeros(n)
+    )
 
 
 def export_matrix_coo(sys: SparseSystem, path) -> None:

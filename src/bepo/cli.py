@@ -84,7 +84,8 @@ def main(argv=None) -> int:
             for r in run_cross_validate(cfg, args.out, args.threads):
                 print(
                     f"{r['kind']} level={r['level']:g} pde={r['pde']:.6g} "
-                    f"mc={r['mc']:.6g} se={r['mc_se']:.3g} diff={r['abs_diff']:.3g}"
+                    f"mc={r['mc']:.6g} se={r['mc_se']:.3g} diff={r['abs_diff']:.3g} "
+                    f"gap_se={r['gap_se']:.3g}"
                 )
     except BepoError as exc:
         print(f"error: {exc}", file=sys.stderr)

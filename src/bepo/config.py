@@ -8,6 +8,7 @@ manifest always captures the full input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BepoError, ParseError, ValidationError
@@ -47,6 +48,25 @@ class RunConfig:
     n_refinements: int = 3
     interior_only: bool = False
     record_stride: int = 0  # 0: no trajectory dump
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(
+                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
+            )
+        sweeps = ("crossing-sweep", "serviceability-sweep")
+        if self.experiment in sweeps and not self.sweep:
+            raise ValueError(f"{self.experiment} needs a nonempty sweep.values")
+        if self.experiment == "serviceability-sweep" and not all(
+            v >= 0 for v in self.sweep
+        ):
+            raise ValueError("serviceability-sweep needs sweep.values >= 0")
+        if self.observable not in ("crossing", "band", "constant"):
+            raise ValueError(f"unknown observable.kind {self.observable!r}")
+        if not self.a2 >= 0:
+            raise ValueError(f"observable.a2 must be >= 0, got {self.a2}")
+        if self.eps0 is not None and not 0 < self.eps0 < math.inf:
+            raise ValueError(f"observable.eps0 must be finite and > 0, got {self.eps0}")
 
     def resolved_eps0(self) -> float:
         return self.grid.x_bar / 64.0 if self.eps0 is None else self.eps0
@@ -94,6 +114,21 @@ _SCHEMA = {
     "output.record_stride": int,
 }
 
+# document keys of RunConfig's own fields -> field name
+_RUN_FIELDS = {
+    "experiment": "experiment",
+    "sweep.values": "sweep",
+    "observable.kind": "observable",
+    "observable.a1": "a1",
+    "observable.eps0": "eps0",
+    "observable.a2": "a2",
+    "observable.c": "g_const",
+    "mc.enabled": "mc_enabled",
+    "convergence.n_refinements": "n_refinements",
+    "convergence.interior_only": "interior_only",
+    "output.record_stride": "record_stride",
+}
+
 
 def _parse_value(key: str, raw: str, lineno: int):
     kind = _SCHEMA[key]
@@ -139,93 +174,32 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
 
-    def take(key, default):
-        return values.get(key, default)
+    def section(name):
+        """The section's keys by field name; absent ones keep the field defaults."""
+        prefix = name + "."
+        return {k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
 
+    run_fields = {f: values[k] for k, f in _RUN_FIELDS.items() if k in values}
+    if experiment is not None:
+        run_fields["experiment"] = experiment
     try:
-        force = ForceSpec(
-            c0=take("force.c0", 1.0),
-            c1=take("force.c1", 0.0),
-            const=take("force.const", 0.0),
-        )
-        model = ModelParams(
-            k=take("model.k", 1.0),
-            alpha=take("model.alpha", 0.5),
-            b=take("model.b", 1.0),
-            sigma=take("model.sigma", 1.0),
-            force=force,
-        )
-        grid = GridSpec(
-            x_bar=take("grid.x_bar", 3.5),
-            y_bar=take("grid.y_bar", 3.5),
-            b=model.b,
-            lam=take("grid.lambda", 1e-3),
-            I=take("grid.I", 33),
-            J=take("grid.J", 33),
-            K=take("grid.K", 33),
-        )
-        solver = SolverConfig(
-            rel_tol=take("solver.rel_tol", 1e-10),
-            max_iters=take("solver.max_iters", 200),
-            restart=take("solver.restart", 60),
-            drop_tol=take("solver.drop_tol", 1e-2),
-            fill_factor=take("solver.fill_factor", 10.0),
-            polish_factor=take("solver.polish_factor", 1.0),
-        )
+        model = ModelParams(force=ForceSpec(**section("force")), **section("model"))
+        grid_keys = section("grid")
+        if "lambda" in grid_keys:
+            grid_keys["lam"] = grid_keys.pop("lambda")
+        sim_keys = section("sim")
         init = OscState(
-            x=take("sim.init_x", 0.0),
-            y=take("sim.init_y", 0.0),
-            z=take("sim.init_z", 0.0),
+            **{axis: sim_keys.pop("init_" + axis, 0.0) for axis in ("x", "y", "z")}
         )
-        sim = SimConfig(
-            dt=take("sim.dt", 1e-3),
-            n_steps=take("sim.n_steps", 100_000),
-            burn_in=values.get("sim.burn_in"),
-            seed=take("sim.seed", 0),
-            n_paths=take("sim.n_paths", 1),
-            init=init,
+        return RunConfig(
+            model=model,
+            grid=GridSpec(b=model.b, **grid_keys),
+            solver=SolverConfig(**section("solver")),
+            sim=SimConfig(init=init, **sim_keys),
+            **run_fields,
         )
-    except ParseError:
-        raise
     except (ValueError, BepoError) as exc:  # dataclass validators
         raise ValidationError(str(exc)) from exc
-
-    if experiment is None:
-        experiment = take("experiment", "solve")
-    if experiment not in EXPERIMENTS:
-        raise ValidationError(
-            f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
-        )
-    sweep = take("sweep.values", ())
-    if experiment in ("crossing-sweep", "serviceability-sweep") and not sweep:
-        raise ValidationError(f"{experiment} needs a nonempty sweep.values")
-    if experiment == "serviceability-sweep" and not all(v >= 0 for v in sweep):
-        raise ValidationError("serviceability-sweep needs sweep.values >= 0")
-    observable = take("observable.kind", "crossing")
-    if observable not in ("crossing", "band", "constant"):
-        raise ValidationError(f"unknown observable.kind {observable!r}")
-    if "observable.a2" in values and values["observable.a2"] < 0:
-        raise ValidationError("observable.a2 must be >= 0")
-    if "observable.eps0" in values and values["observable.eps0"] <= 0:
-        raise ValidationError("observable.eps0 must be > 0")
-
-    return RunConfig(
-        model=model,
-        grid=grid,
-        solver=solver,
-        sim=sim,
-        experiment=experiment,
-        sweep=sweep,
-        observable=observable,
-        a1=take("observable.a1", 0.0),
-        eps0=values.get("observable.eps0"),
-        a2=take("observable.a2", 1.0),
-        g_const=take("observable.c", 1.0),
-        mc_enabled=take("mc.enabled", True),
-        n_refinements=take("convergence.n_refinements", 3),
-        interior_only=take("convergence.interior_only", False),
-        record_stride=take("output.record_stride", 0),
-    )
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -45,7 +45,7 @@ class NoConvergence(BepoError):
 
 
 class PreconditionerBreakdown(BepoError):
-    """Incomplete factorization hit a zero pivot in both orderings tried."""
+    """Incomplete factorization of a preconditioner half hit a zero pivot."""
 
 
 class ShapeMismatch(BepoError):

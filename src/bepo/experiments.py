@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -204,6 +205,7 @@ def _sweep_common(cfg: RunConfig, out: Path, kind: str):
                 "mc_se": mse,
                 "spread": rep.spread,
                 "residual": rep.residual,
+                "iterations": rep.iterations,
             }
         )
     out.mkdir(parents=True, exist_ok=True)
@@ -261,23 +263,23 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
         grid = build_grid(spec)
         sys = assemble_matrix(grid, cfg.model, spec.lam)
         sys.rhs = assemble_rhs(grid, g, spec.lam)
-        return solve_resolvent(sys, cfg.solver).v
+        return solve_resolvent(sys, cfg.solver)
 
-    base_field = solve_on(cfg.grid)
+    base = solve_on(cfg.grid)
     for axis in ("x", "y", "z"):
         ladder = refinement_ladder(cfg.grid, axis, cfg.n_refinements)
-        fields = [base_field]
+        reports = [base]
         specs = list(ladder.levels)
         if threads > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                fields += list(pool.map(solve_on, specs[1:]))
+                reports += list(pool.map(solve_on, specs[1:]))
         else:
-            fields += [solve_on(spec) for spec in specs[1:]]
+            reports += [solve_on(spec) for spec in specs[1:]]
         diffs = [
             sup_diff_on_common(
-                fields[m], fields[m + 1], specs[m], specs[m + 1], cfg.interior_only
+                reports[m].v, reports[m + 1].v, specs[m], specs[m + 1], cfg.interior_only
             )
-            for m in range(len(fields) - 1)
+            for m in range(len(reports) - 1)
         ]
         spacing = {"x": "dx", "y": "dy", "z": "dz"}[axis]
         for m, spec in enumerate(specs):
@@ -292,6 +294,8 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
                         if m >= 2
                         else float("nan")
                     ),
+                    "residual": reports[m].residual,
+                    "iterations": reports[m].iterations,
                 }
             )
     out.mkdir(parents=True, exist_ok=True)
@@ -310,7 +314,8 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
 
     Crossing levels come from cfg.sweep when given (else a1); band radii
     from cfg.a2. One factorization serves both kinds. Emits one comparison
-    row per (kind, level).
+    row per (kind, level): abs_diff = |pde - mc| and gap_se = (pde - mc) /
+    mc_se, the gap in Monte Carlo standard errors (nan when mc_se is 0).
     """
     t0 = time.perf_counter()
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
@@ -322,30 +327,28 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
         [_level_observable(cfg, lv, "crossing") for lv in a1_levels]
         + [_level_observable(cfg, lv, "band") for lv in a2_levels],
     )
-    cross_reports, band_reports = reports[: len(a1_levels)], reports[len(a1_levels) :]
     sim = cfg.sim
     cobs = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
     bobs = BandObserver(a2_levels, sim.n_paths)
     simulate_paths(sim, cfg.model, [cobs, bobs])
-    for li, (level, rep) in enumerate(zip(a1_levels, cross_reports)):
-        mv, mse = cobs.frequency(li)
+    mc = [cobs.frequency(i) for i in range(len(a1_levels))]
+    mc += [bobs.probability(i) for i in range(len(a2_levels))]
+    kinds = ["crossing"] * len(a1_levels) + ["band"] * len(a2_levels)
+    for kind, level, rep, (mv, mse) in zip(kinds, a1_levels + a2_levels, reports, mc):
+        gap = rep.statistic - mv
         rows.append(
-            {"kind": "crossing", "level": level, "pde": rep.statistic,
-             "mc": mv, "mc_se": mse, "abs_diff": abs(rep.statistic - mv)}
-        )
-    for ri, (level, rep) in enumerate(zip(a2_levels, band_reports)):
-        mv, mse = bobs.probability(ri)
-        rows.append(
-            {"kind": "band", "level": level, "pde": rep.statistic,
-             "mc": mv, "mc_se": mse, "abs_diff": abs(rep.statistic - mv)}
+            {"kind": kind, "level": level, "pde": rep.statistic,
+             "mc": mv, "mc_se": mse, "abs_diff": abs(gap),
+             "gap_se": gap / mse if mse > 0 else math.nan,
+             "residual": rep.residual, "iterations": rep.iterations}
         )
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "cross_validate.csv", "w") as fh:
-        fh.write("kind,level,pde,mc,mc_se,abs_diff\n")
+        fh.write("kind,level,pde,mc,mc_se,abs_diff,gap_se\n")
         for r in rows:
             fh.write(
                 f"{r['kind']},{r['level']:.12g},{r['pde']:.12g},{r['mc']:.12g},"
-                f"{r['mc_se']:.12g},{r['abs_diff']:.12g}\n"
+                f"{r['mc_se']:.12g},{r['abs_diff']:.12g},{r['gap_se']:.12g}\n"
             )
     write_manifest(out, cfg, rows, time.perf_counter() - t0)
     return rows

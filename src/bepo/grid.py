@@ -12,6 +12,7 @@ behind the index helpers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,10 +67,10 @@ class GridSpec:
         for name, n in (("I", self.I), ("J", self.J), ("K", self.K)):
             if n <= 1 or n % 2 == 0:
                 raise InvalidSpec(f"{name} must be an odd integer > 1, got {n}")
-        if not self.lam > 0:
-            raise InvalidSpec(f"lam must be > 0, got {self.lam}")
-        if not (self.x_bar > 0 and self.y_bar > 0 and self.b > 0):
-            raise InvalidSpec("x_bar, y_bar, b must all be > 0")
+        for name in ("lam", "x_bar", "y_bar", "b"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidSpec(f"{name} must be finite and > 0, got {value}")
 
     @property
     def dx(self) -> float:

@@ -1,7 +1,14 @@
 """Krylov solve of the resolvent system and extraction of the statistic.
 
-Restarted GMRES, preconditioned on the left by a threshold incomplete LU in
-the natural node order. scipy's GMRES iterates on the preconditioned residual
+Restarted GMRES, preconditioned on the left by a symmetric block
+Gauss-Seidel sweep over y-lines. With the nodes renumbered so that each
+(i, k) line of J nodes along y is contiguous, the matrix splits into line
+blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1, each
+block-triangular half factored once by a threshold incomplete LU in that
+order. The line blocks hold the stiff y diffusion and the beta drift; the x
+and z advection speeds depend on y only, so each half's upwind x/z transport
+runs one way between lines, and the forward and backward sweeps absorb the
+y < 0 and y > 0 rows. scipy's GMRES iterates on the preconditioned residual
 but ends each restart cycle on the true residual ||b - M v||, and the solver
 recomputes that residual once more before it accepts a solution, so every
 returned field meets rel_tol on the original system.
@@ -10,7 +17,7 @@ returned field meets rel_tol on the original system.
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +44,11 @@ class SolverConfig:
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
     max_iters     : GMRES restart cycles
     restart       : GMRES restart length
-    drop_tol      : ILU threshold drop tolerance
-    fill_factor   : ILU fill bound
+    drop_tol      : threshold below which the incomplete LU of each
+                    block-triangular half (D+L and D+U, y-line order) drops
+                    an entry; 0 factors both halves exactly
+    fill_factor   : bound on the fill of each half's incomplete LU, as a
+                    multiple of that half's nonzeros
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -48,15 +58,29 @@ class SolverConfig:
     rel_tol: float = 1e-10
     max_iters: int = 200
     restart: int = 60
-    drop_tol: float = 1e-2
+    drop_tol: float = 1e-3
     fill_factor: float = 10.0
     polish_factor: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restart < 1:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
+        if not 0.0 <= self.drop_tol <= 1.0:
+            raise ValueError(f"drop_tol must be in [0, 1], got {self.drop_tol}")
+        # SuperLU sizes its first workspace as fill_factor times the input's
+        # nonzeros; one that rounds to zero never grows, and spilu hangs
+        if not 1.0 <= self.fill_factor < math.inf:
+            raise ValueError(
+                f"fill_factor must be finite and >= 1, got {self.fill_factor}"
+            )
+        if not 0.0 < self.polish_factor <= 1.0:
+            raise ValueError(
+                f"polish_factor must be in (0, 1], got {self.polish_factor}"
+            )
 
 
 @dataclass
@@ -79,24 +103,74 @@ class SolveReport:
         }
 
 
-def _ilu(csc: sp.csc_matrix, cfg: SolverConfig):
-    """Threshold incomplete LU in the natural node order.
+def _yline_split(A: sp.csr_matrix, shape: tuple[int, int, int]):
+    """P A P^T in y-line order (i, k, j; j fastest), split by line blocks.
 
-    The natural order follows the grid's lexicographic numbering; on these
-    stencils it gives about half the fill of a COLAMD ordering and factors
-    faster. If SuperLU meets an exactly-zero pivot in that order, the
-    factorization is retried once under COLAMD, with a warning. Raises
-    PreconditionerBreakdown when both orders fail.
+    Returns perm, with (P v)[p] = v[perm[p]], the permuted matrix as COO,
+    and each entry's side of the line blocks: -1 below them (L, from an
+    earlier line), 0 within them (D) and +1 above them (U). Row and column
+    p of the permuted matrix belong to line p // J.
     """
-    opts = dict(drop_tol=cfg.drop_tol, fill_factor=cfg.fill_factor)
+    I, J, K = shape
+    i, k, j = np.meshgrid(
+        np.arange(I, dtype=np.int32),
+        np.arange(K, dtype=np.int32),
+        np.arange(J, dtype=np.int32),
+        indexing="ij",
+        sparse=True,
+    )
+    perm = ((i * J + j) * K + k).ravel()
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size, dtype=np.int32)
+    Ap = A.tocoo()
+    Ap.row, Ap.col = inv[Ap.row], inv[Ap.col]
+    side = np.sign(Ap.col // J - Ap.row // J).astype(np.int8)
+    return perm, Ap, side
+
+
+def _part(Ap: sp.coo_matrix, keep: np.ndarray) -> sp.csc_matrix:
+    """The entries of Ap where keep is true."""
+    return sp.csc_matrix((Ap.data[keep], (Ap.row[keep], Ap.col[keep])), shape=Ap.shape)
+
+
+def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
+    """Threshold incomplete LU of one block-triangular half, in its own order.
+
+    No pivoting and the plain threshold rule: SuperLU's default area rule
+    (`basic,area`) stalls GMRES on long y-lines. Panels of one column and
+    no supernode relaxation: the default panels of 10 columns need a
+    workspace larger than the factor itself, and relaxed supernodes store
+    padding zeros that every triangular solve then reads.
+    """
     try:
-        return spla.spilu(csc, permc_spec="NATURAL", **opts)
-    except RuntimeError as exc:
-        warnings.warn(f"ILU fell back to the COLAMD ordering: {exc}")
-    try:
-        return spla.spilu(csc, permc_spec="COLAMD", **opts)
+        return spla.spilu(
+            half,
+            drop_tol=cfg.drop_tol,
+            fill_factor=cfg.fill_factor,
+            drop_rule="basic",
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            panel_size=1,
+            relax=1,
+        )
     except RuntimeError as exc:
         raise PreconditionerBreakdown(str(exc)) from exc
+
+
+def _sgs(perm, lower, diag, upper):
+    """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]].
+
+    A closure over the factors only, so the preconditioner holds no
+    reference back to the solver and a spent solver is freed by refcounting.
+    """
+
+    def apply(r):
+        w = upper.solve(diag @ lower.solve(r[perm]))
+        out = np.empty_like(w)
+        out[perm] = w
+        return out
+
+    return apply
 
 
 class ResolventSolver:
@@ -104,29 +178,24 @@ class ResolventSolver:
 
     Sweeps over observables share the grid and matrix; the factorization is
     the dominant cost, so it is built once here and reused per solve.
+    `lower` and `upper` are the incomplete factors of D+L and D+U, and
+    `precond` is the symmetric block Gauss-Seidel operator built on them.
     """
 
     def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None):
         self.cfg = cfg if cfg is not None else SolverConfig()
         self.A = sys.to_csr()
         self.n = sys.n
-        try:
-            self.ilu = _ilu(self.A.tocsc(), self.cfg)
-        except PreconditionerBreakdown:
-            # degenerate structure (e.g. the diffusion-free sigma = 0 system
-            # is reducible and defeats threshold dropping): a complete
-            # factorization still succeeds and acts as an exact preconditioner
-            warnings.warn(
-                "incomplete factorization broke down; using a complete sparse LU"
-            )
-            try:
-                self.ilu = spla.splu(self.A.tocsc())
-            except RuntimeError as exc:
-                raise PreconditionerBreakdown(str(exc)) from exc
-        # a bound method of the factor, so the operator holds no reference
-        # back to the solver and a spent solver is freed by refcounting
-        self._precond = spla.LinearOperator(
-            (self.n, self.n), matvec=self.ilu.solve, dtype=float
+        perm, Ap, side = _yline_split(self.A, sys.shape)
+        # each half is built only for its own factorization, so SuperLU's
+        # workspace never sits on top of both
+        self.lower = _ilu(_part(Ap, side <= 0), self.cfg)
+        diag = _part(Ap, side == 0).tocsr()
+        self.upper = _ilu(_part(Ap, side >= 0), self.cfg)
+        self.precond = spla.LinearOperator(
+            (self.n, self.n),
+            matvec=_sgs(perm, self.lower, diag, self.upper),
+            dtype=float,
         )
 
     def solve(self, b: np.ndarray) -> SolveReport:
@@ -154,7 +223,7 @@ class ResolventSolver:
         v, _ = spla.gmres(
             self.A,
             b,
-            M=self._precond,
+            M=self.precond,
             rtol=cfg.rel_tol * cfg.polish_factor,
             atol=0.0,
             restart=cfg.restart,

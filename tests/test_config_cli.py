@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bepo.cli import main
-from bepo.config import parse_config, serialize_config
+from bepo.config import RunConfig, parse_config, serialize_config
 from bepo.errors import ParseError, ValidationError
 from bepo.experiments import run_crossing_sweep, run_serviceability_sweep
+from bepo.solver import SolverConfig
 
 
 def test_empty_document_gives_paper_defaults():
@@ -51,6 +53,19 @@ def test_validation_error_on_even_grid():
         parse_config("grid.I = 8")
 
 
+# settings that crashed (max_iters), were accepted (drop_tol), hung inside
+# spilu (fill_factor), met a singular factor (lambda, x_bar) or returned a
+# statistic of 0 (eps0) before validation
+SOLVE_PROBES = [
+    "solver.max_iters = 0",
+    "solver.drop_tol = -1",
+    "solver.fill_factor = 0",
+    "grid.lambda = inf",
+    "grid.x_bar = inf",
+    "observable.eps0 = inf",
+]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -64,11 +79,33 @@ def test_validation_error_on_even_grid():
         "force.c0 = nan",
         "force.c1 = inf",
         "force.const = nan",
+        "observable.a2 = nan",
+        *SOLVE_PROBES,
     ],
 )
 def test_validation_error_on_nonfinite_or_negative_inputs(line):
     with pytest.raises(ValidationError):
         parse_config(line)
+
+
+@pytest.mark.parametrize("line", SOLVE_PROBES)
+def test_cli_rejects_bad_solve_settings_before_factoring(tmp_path, capsys, monkeypatch, line):
+    def never(*args, **kwargs):
+        raise AssertionError("the factorization ran on a rejected setting")
+
+    monkeypatch.setattr(spla, "spilu", never)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n{line}\n")
+    rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_document_gives_the_dataclass_defaults():
+    cfg = parse_config("")
+    assert cfg.solver == SolverConfig()
+    assert cfg == RunConfig()
 
 
 def test_sweep_required_for_sweep_experiments():
@@ -269,3 +306,28 @@ def test_sweep_level_outside_box_warns(tmp_path):
     with pytest.warns(UserWarning, match="outside the truncation box"):
         rows = run_crossing_sweep(cfg, tmp_path)
     assert abs(rows[0]["pde"]) < 1e-6
+
+
+def test_manifest_rows_record_solver_iterations(tmp_path):
+    from bepo.experiments import run_convergence, run_cross_validate
+
+    cfg = quick_config("observable.eps0 = 1.0\nsweep.values = 0.5\n")
+    cfg.n_refinements = 1
+    runs = {
+        "sweep": run_crossing_sweep,
+        "convergence": run_convergence,
+        "cross": run_cross_validate,
+    }
+    for name, run in runs.items():
+        run(cfg, tmp_path / name)
+        rows = json.loads((tmp_path / name / "manifest.json").read_text())["rows"]
+        for r in rows:
+            assert isinstance(r["iterations"], int) and r["iterations"] > 0
+            assert np.isfinite(r["residual"])
+
+    lines = (tmp_path / "cross" / "cross_validate.csv").read_text().splitlines()
+    assert lines[0] == "kind,level,pde,mc,mc_se,abs_diff,gap_se"
+    rows = json.loads((tmp_path / "cross" / "manifest.json").read_text())["rows"]
+    for r, line in zip(rows, lines[1:]):
+        assert r["gap_se"] == pytest.approx((r["pde"] - r["mc"]) / r["mc_se"])
+        assert float(line.split(",")[-1]) == pytest.approx(r["gap_se"])
