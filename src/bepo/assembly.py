@@ -41,17 +41,16 @@ __all__ = [
 
 @dataclass
 class SparseSystem:
-    """Merged triplet form of the system, 1 row per grid node.
+    """The system in canonical CSR form, 1 row per grid node.
 
-    shape is the grid's (I, J, K), which fixes the node numbering; rows/cols
-    are 0-based internally; entries are sorted by (row, col), duplicates
-    summed, exact zeros dropped. rhs is dense, 0 at Neumann rows.
+    shape is the grid's (I, J, K), which fixes the node numbering. matrix
+    has sorted column indices, duplicates summed and exact zeros dropped;
+    rows/cols/vals are its 0-based triplets in (row, col) order, derived on
+    demand. rhs is dense, 0 at Neumann rows.
     """
 
     shape: tuple[int, int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    matrix: sp.csr_matrix
     rhs: np.ndarray
 
     @property
@@ -59,30 +58,33 @@ class SparseSystem:
         I, J, K = self.shape
         return I * J * K
 
+    @property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.matrix.indptr))
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.matrix.indices
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self.matrix.data
+
     def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
-        )
+        return self.matrix
 
     def diagonal(self) -> np.ndarray:
-        diag = np.zeros(self.n)
-        on_diag = self.rows == self.cols
-        diag[self.rows[on_diag]] = self.vals[on_diag]
-        return diag
+        return self.matrix.diagonal()
 
 
-def _merge_triplets(n, rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _merge_triplets(n, rows, cols, vals) -> sp.csr_matrix:
     """Sum duplicate (row, col) contributions, drop exact zeros, sort."""
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    csr = coo.tocsr()  # sums duplicates
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates
     csr.sum_duplicates()
     csr.eliminate_zeros()
-    coo = csr.tocoo()
-    return (
-        coo.row.astype(np.int64),
-        coo.col.astype(np.int64),
-        coo.data.astype(np.float64),
-    )
+    # merging leaves data and indices as views of the unmerged buffers, about
+    # 1.6 times larger; the copy lets those go
+    return csr.copy()
 
 
 def _lin(i0, j0, k0, J, K):
@@ -197,12 +199,10 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         vals_l.append(np.full(r.shape, sign / dy))
         vals_l.append(np.full(r.shape, -sign / dy))
 
-    rows, cols, vals = _merge_triplets(
+    matrix = _merge_triplets(
         n, np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l)
     )
-    return SparseSystem(
-        shape=(I, J, K), rows=rows, cols=cols, vals=vals, rhs=np.zeros(n)
-    )
+    return SparseSystem(shape=(I, J, K), matrix=matrix, rhs=np.zeros(n))
 
 
 def _dual_cell_bounds(count: int, half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -378,15 +378,13 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
                                 vals_l.append(val)
                 e[ic, jc, kc] = 0.0
 
-    rows, cols, vals = _merge_triplets(
+    matrix = _merge_triplets(
         n,
         np.asarray(rows_l, dtype=np.int64),
         np.asarray(cols_l, dtype=np.int64),
         np.asarray(vals_l, dtype=np.float64),
     )
-    return SparseSystem(
-        shape=(I, J, K), rows=rows, cols=cols, vals=vals, rhs=np.zeros(n)
-    )
+    return SparseSystem(shape=(I, J, K), matrix=matrix, rhs=np.zeros(n))
 
 
 def export_matrix_coo(sys: SparseSystem, path) -> None:

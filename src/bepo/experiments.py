@@ -37,10 +37,14 @@ from .solver import (
     ResolventSolver,
     SolveReport,
     evaluate_statistic,
+    invariant_weights,
     magnitude_violations,
+    require_finite,
+    rice_rate,
     solution_to_csv,
     solve_resolvent,
     summary_to_json,
+    weight_diagnostics,
 )
 
 __all__ = [
@@ -81,7 +85,11 @@ def pde_statistic(cfg: RunConfig, g: Observable, matrix=None, grid=None) -> Solv
     return report
 
 
-def write_manifest(out: Path, cfg: RunConfig, rows, wall_clock: float) -> None:
+def write_manifest(
+    out: Path, cfg: RunConfig, rows, wall_clock: float, weights: dict | None = None
+) -> None:
+    """manifest.json; `weights` holds the weight diagnostics of runs that
+    solve for the discrete invariant measure."""
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": __version__,
@@ -89,6 +97,8 @@ def write_manifest(out: Path, cfg: RunConfig, rows, wall_clock: float) -> None:
         "config": serialize_config(cfg),
         "rows": rows,
     }
+    if weights is not None:
+        manifest["weights"] = weights
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -166,59 +176,54 @@ def _level_observable(cfg: RunConfig, level: float, kind: str) -> Observable:
     return mollified_crossing_speed(level, cfg.resolved_eps0())
 
 
-def _pde_sweep(cfg: RunConfig, observables) -> list[SolveReport]:
-    """Solve the resolvent system for each observable; ordered by input.
+def _pde_sweep(cfg: RunConfig, observables):
+    """Every observable's statistic from one adjoint solve; ordered by input.
 
     All observables share the grid and matrix, so the matrix is assembled
-    and factored once and every right-hand side reuses the factorization
-    (which dominates the cost).
+    and factored once, and one solve on its transpose gives the weights w
+    with stat(g) = w @ g (`invariant_weights`). Every right-hand side is
+    checked for non-finite entries before the solve. Returns the
+    statistics, the report of the adjoint solve (w is its v) and the grid.
     """
     grid = build_grid(cfg.grid)
     lam = cfg.grid.lam
     solver = ResolventSolver(assemble_matrix(grid, cfg.model, lam), cfg.solver)
-
-    reports = []
-    for g in observables:
-        report = solver.solve(assemble_rhs(grid, g, lam))
-        report.statistic, report.spread = evaluate_statistic(report.v, grid)
-        report.bound_violations = magnitude_violations(
-            report.v, grid, g.sup_norm(cfg.grid.x_bar, cfg.grid.y_bar, cfg.model.b)
-        )
-        reports.append(report)
-    return reports
+    rhs = [assemble_rhs(grid, g, lam) for g in observables]
+    for b in rhs:
+        require_finite(b)
+    adjoint = invariant_weights(solver, grid)
+    return [float(adjoint.v @ b) for b in rhs], adjoint, grid
 
 
 def _sweep_common(cfg: RunConfig, out: Path, kind: str):
     t0 = time.perf_counter()
     levels = list(cfg.sweep)
-    reports = _pde_sweep(cfg, [_level_observable(cfg, lv, kind) for lv in levels])
+    stats, adjoint, grid = _pde_sweep(
+        cfg, [_level_observable(cfg, lv, kind) for lv in levels]
+    )
     mc = _mc_levels(cfg, levels, kind) if cfg.mc_enabled else [(float("nan"), float("nan"))] * len(levels)
 
-    name = "a1,nu_pde,nu_mc,nu_mc_se" if kind == "crossing" else "a2,P_pde,P_mc,P_mc_se"
     rows = []
-    for level, rep, (mv, mse) in zip(levels, reports, mc):
-        rows.append(
-            {
-                "level": level,
-                "pde": rep.statistic,
-                "mc": mv,
-                "mc_se": mse,
-                "spread": rep.spread,
-                "residual": rep.residual,
-                "iterations": rep.iterations,
-            }
-        )
+    for level, stat, (mv, mse) in zip(levels, stats, mc):
+        row = {"level": level, "pde": stat, "mc": mv, "mc_se": mse}
+        if kind == "crossing":
+            row["nu_rice"] = rice_rate(adjoint.v, grid, level)
+        row.update(residual=adjoint.residual, iterations=adjoint.iterations)
+        rows.append(row)
     out.mkdir(parents=True, exist_ok=True)
-    csv = out / ("crossing_sweep.csv" if kind == "crossing" else "serviceability_sweep.csv")
+    if kind == "crossing":
+        csv, header = out / "crossing_sweep.csv", "a1,nu_pde,nu_mc,nu_mc_se,nu_rice,residual"
+    else:
+        csv, header = out / "serviceability_sweep.csv", "a2,P_pde,P_mc,P_mc_se,residual"
+    columns = [key for key in rows[0] if key != "iterations"]
     with open(csv, "w") as fh:
-        fh.write(name + ",spread,residual\n")
+        fh.write(header + "\n")
         for r in rows:
-            fh.write(
-                f"{r['level']:.12g},{r['pde']:.12g},{r['mc']:.12g},"
-                f"{r['mc_se']:.12g},{r['spread']:.12g},{r['residual']:.12g}\n"
-            )
+            fh.write(",".join(f"{r[key]:.12g}" for key in columns) + "\n")
     _write_plot_script(out, csv.name, kind)
-    write_manifest(out, cfg, rows, time.perf_counter() - t0)
+    write_manifest(
+        out, cfg, rows, time.perf_counter() - t0, weight_diagnostics(adjoint.v, grid)
+    )
     return rows
 
 
@@ -313,16 +318,18 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
     """Both routes at matched settings for crossing and band observables.
 
     Crossing levels come from cfg.sweep when given (else a1); band radii
-    from cfg.a2. One factorization serves both kinds. Emits one comparison
-    row per (kind, level): abs_diff = |pde - mc| and gap_se = (pde - mc) /
-    mc_se, the gap in Monte Carlo standard errors (nan when mc_se is 0).
+    from cfg.a2. One factorization and one adjoint solve serve both kinds.
+    Returns one comparison row per (kind, level): abs_diff = |pde - mc| and
+    gap_se = (pde - mc) / mc_se, the gap in Monte Carlo standard errors (nan
+    when mc_se is 0). The CSV and the manifest add one `rice` row per
+    crossing level, Rice's formula on the same weights against the same
+    Monte Carlo counts.
     """
     t0 = time.perf_counter()
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
     a2_levels = [cfg.a2]
 
-    rows = []
-    reports = _pde_sweep(
+    stats, adjoint, grid = _pde_sweep(
         cfg,
         [_level_observable(cfg, lv, "crossing") for lv in a1_levels]
         + [_level_observable(cfg, lv, "band") for lv in a2_levels],
@@ -331,24 +338,35 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
     cobs = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
     bobs = BandObserver(a2_levels, sim.n_paths)
     simulate_paths(sim, cfg.model, [cobs, bobs])
-    mc = [cobs.frequency(i) for i in range(len(a1_levels))]
-    mc += [bobs.probability(i) for i in range(len(a2_levels))]
+    crossing_mc = [cobs.frequency(i) for i in range(len(a1_levels))]
+    mc = crossing_mc + [bobs.probability(i) for i in range(len(a2_levels))]
     kinds = ["crossing"] * len(a1_levels) + ["band"] * len(a2_levels)
-    for kind, level, rep, (mv, mse) in zip(kinds, a1_levels + a2_levels, reports, mc):
-        gap = rep.statistic - mv
-        rows.append(
-            {"kind": kind, "level": level, "pde": rep.statistic,
-             "mc": mv, "mc_se": mse, "abs_diff": abs(gap),
-             "gap_se": gap / mse if mse > 0 else math.nan,
-             "residual": rep.residual, "iterations": rep.iterations}
-        )
+
+    def compare(kind, level, pde, mv, mse):
+        gap = pde - mv
+        return {"kind": kind, "level": level, "pde": pde,
+                "mc": mv, "mc_se": mse, "abs_diff": abs(gap),
+                "gap_se": gap / mse if mse > 0 else math.nan,
+                "residual": adjoint.residual, "iterations": adjoint.iterations}
+
+    rows = [
+        compare(kind, level, stat, mv, mse)
+        for kind, level, stat, (mv, mse) in zip(kinds, a1_levels + a2_levels, stats, mc)
+    ]
+    rice_rows = [
+        compare("rice", level, rice_rate(adjoint.v, grid, level), mv, mse)
+        for level, (mv, mse) in zip(a1_levels, crossing_mc)
+    ]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "cross_validate.csv", "w") as fh:
         fh.write("kind,level,pde,mc,mc_se,abs_diff,gap_se\n")
-        for r in rows:
+        for r in rows + rice_rows:
             fh.write(
                 f"{r['kind']},{r['level']:.12g},{r['pde']:.12g},{r['mc']:.12g},"
                 f"{r['mc_se']:.12g},{r['abs_diff']:.12g},{r['gap_se']:.12g}\n"
             )
-    write_manifest(out, cfg, rows, time.perf_counter() - t0)
+    write_manifest(
+        out, cfg, rows + rice_rows, time.perf_counter() - t0,
+        weight_diagnostics(adjoint.v, grid),
+    )
     return rows

@@ -12,6 +12,14 @@ y < 0 and y > 0 rows. scipy's GMRES iterates on the preconditioned residual
 but ends each restart cycle on the true residual ||b - M v||, and the solver
 recomputes that residual once more before it accepts a solution, so every
 returned field meets rel_tol on the original system.
+
+Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
+the center node. The same factors, transposed, solve M^T w = e_c once
+(`ResolventSolver.transpose`, `invariant_weights`); then stat(g) = w @ g
+for every observable on the grid. w is the discrete invariant measure, and
+it also gives the crossing rate by Rice's formula (`rice_rate`) and mass
+diagnostics (`weight_diagnostics`). A full field v, and with it the spread
+and the magnitude diagnostic, still needs a forward solve.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ __all__ = [
     "ResolventSolver",
     "solve_resolvent",
     "evaluate_statistic",
+    "invariant_weights",
+    "require_finite",
+    "rice_rate",
+    "weight_diagnostics",
 ]
 
 
@@ -157,15 +169,17 @@ def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
         raise PreconditionerBreakdown(str(exc)) from exc
 
 
-def _sgs(perm, lower, diag, upper):
-    """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]].
+def _sgs(perm, lower, diag, upper, trans="N"):
+    """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]], or with
+    trans="T" its transpose v -> P^T (D+L)^-T D^T (D+U)^-T P v.
 
     A closure over the factors only, so the preconditioner holds no
     reference back to the solver and a spent solver is freed by refcounting.
     """
+    first, mid, last = (lower, diag, upper) if trans == "N" else (upper, diag.T, lower)
 
     def apply(r):
-        w = upper.solve(diag @ lower.solve(r[perm]))
+        w = last.solve(mid @ first.solve(r[perm], trans=trans), trans=trans)
         out = np.empty_like(w)
         out[perm] = w
         return out
@@ -173,13 +187,21 @@ def _sgs(perm, lower, diag, upper):
     return apply
 
 
+def require_finite(b: np.ndarray) -> None:
+    """Raise NonFiniteState when b holds a NaN or an infinity."""
+    bad = np.count_nonzero(~np.isfinite(b))
+    if bad:
+        raise NonFiniteState(f"right-hand side has {bad} non-finite entries")
+
+
 class ResolventSolver:
     """Factors the matrix once and solves any number of right-hand sides.
 
-    Sweeps over observables share the grid and matrix; the factorization is
-    the dominant cost, so it is built once here and reused per solve.
-    `lower` and `upper` are the incomplete factors of D+L and D+U, and
-    `precond` is the symmetric block Gauss-Seidel operator built on them.
+    The factorization is the dominant cost, so it is built once here and
+    reused per solve. `lower` and `upper` are the incomplete factors of D+L
+    and D+U, and `precond` is the symmetric block Gauss-Seidel operator built
+    on them. `transpose` returns a solver for M^T on the same factors, which
+    finds the discrete invariant measure w = M^-T e_c of `invariant_weights`.
     """
 
     def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None):
@@ -190,13 +212,32 @@ class ResolventSolver:
         # each half is built only for its own factorization, so SuperLU's
         # workspace never sits on top of both
         self.lower = _ilu(_part(Ap, side <= 0), self.cfg)
-        diag = _part(Ap, side == 0).tocsr()
+        self.diag = _part(Ap, side == 0).tocsr()
         self.upper = _ilu(_part(Ap, side >= 0), self.cfg)
+        self.perm = perm
+        self._precondition("N")
+
+    def _precondition(self, trans: str) -> None:
+        self.trans = trans
         self.precond = spla.LinearOperator(
             (self.n, self.n),
-            matvec=_sgs(perm, self.lower, diag, self.upper),
+            matvec=_sgs(self.perm, self.lower, self.diag, self.upper, trans),
             dtype=float,
         )
+
+    def transpose(self) -> ResolventSolver:
+        """A solver for M^T that shares this one's factors and settings.
+
+        It is built without `__init__`, so nothing is factored again. Its
+        preconditioner is the transpose of this one's, for a forward solver
+        P^T (D+L)^-T D^T (D+U)^-T P, and its `solve` checks the true residual
+        against M^T.
+        """
+        t = object.__new__(ResolventSolver)
+        t.cfg, t.n, t.A = self.cfg, self.n, self.A.T
+        t.lower, t.diag, t.upper, t.perm = self.lower, self.diag, self.upper, self.perm
+        t._precondition("T" if self.trans == "N" else "N")
+        return t
 
     def solve(self, b: np.ndarray) -> SolveReport:
         """Solve M v = b to ||M v - b|| <= rel_tol * ||b||.
@@ -207,9 +248,7 @@ class ResolventSolver:
         or not finite.
         """
         cfg = self.cfg
-        bad = np.count_nonzero(~np.isfinite(b))
-        if bad:
-            raise NonFiniteState(f"right-hand side has {bad} non-finite entries")
+        require_finite(b)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             return SolveReport(v=np.zeros(self.n), residual=0.0, iterations=0)
@@ -250,6 +289,11 @@ def solve_direct(sys: SparseSystem) -> SolveReport:
     return SolveReport(v=v, residual=residual, iterations=0)
 
 
+def _center(grid: Grid) -> tuple[int, int, int]:
+    """0-based (i, j, k) of the origin node, where every statistic is read."""
+    return tuple(c - 1 for c in grid.center)
+
+
 def evaluate_statistic(v: np.ndarray, grid: Grid) -> tuple[float, float]:
     """Center-node value and the max-min spread over the central half-box.
 
@@ -258,12 +302,77 @@ def evaluate_statistic(v: np.ndarray, grid: Grid) -> tuple[float, float]:
     """
     s = grid.spec
     v3 = np.asarray(v).reshape(s.I, s.J, s.K)
-    ci, cj, ck = (s.I - 1) // 2, (s.J - 1) // 2, (s.K - 1) // 2
+    ci, cj, ck = _center(grid)
     value = float(v3[ci, cj, ck])
     ri, rj = (s.I - 1) // 4, (s.J - 1) // 4
     box = v3[ci - ri : ci + ri + 1, cj - rj : cj + rj + 1, :]
     spread = float(box.max() - box.min())
     return value, spread
+
+
+def invariant_weights(solver: ResolventSolver, grid: Grid) -> SolveReport:
+    """One solve of M^T w = e_c on the solver's factors; w is the report's v.
+
+    Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g,
+    so stat(g) = w @ g for every right-hand side g on the grid. w is the
+    discrete invariant measure: its equation rows sum to 1 (the constant
+    observable), and the small-lam limit of its mass is the invariant
+    measure of the oscillator. On the Neumann rows w holds the multipliers
+    of the boundary conditions, not mass.
+    """
+    s = grid.spec
+    e = np.zeros(solver.n)
+    e[np.ravel_multi_index(_center(grid), (s.I, s.J, s.K))] = 1.0
+    return solver.transpose().solve(e)
+
+
+def _mass(w: np.ndarray, grid: Grid) -> np.ndarray:
+    """w on the equation rows 0 < j < J-1, shaped (I, J-2, K)."""
+    s = grid.spec
+    return np.asarray(w).reshape(s.I, s.J, s.K)[:, 1:-1, :]
+
+
+def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
+    """Crossing rate of the level x = a by Rice's formula on the weights.
+
+    nu(a) = sum_{j, k} w[i, j, k] |y_j| / hx over the equation rows, with hx
+    the unscaled x spacing, interpolated linearly in x between the two
+    nodes around a. No mollifier enters. A level outside the box gives 0.
+    """
+    s = grid.spec
+    if not abs(a) <= s.x_bar:
+        return 0.0
+    hx = 2.0 * s.x_bar / (s.I - 1)
+    w3 = _mass(w, grid)
+    speed = np.abs(grid.y[1:-1]) / hx
+    # offsets from the center node, so that a and -a interpolate mirrored
+    u = a / hx
+    i = min(math.floor(u) + (s.I - 1) // 2, s.I - 2)
+    t = u - (i - (s.I - 1) // 2)
+    flux = [float(speed @ w3[m].sum(axis=1)) for m in (i, i + 1)]
+    return (1.0 - t) * flux[0] + t * flux[1]
+
+
+def weight_diagnostics(w: np.ndarray, grid: Grid) -> dict:
+    """Mass checks of the weights, over the equation rows.
+
+    w_mass is 1 up to the solve's accuracy. w_negative_mass measures how
+    far the second-order stencil breaks the discrete maximum principle.
+    The sheet masses, in the two outer x planes on each side and the outer
+    y planes, measure the truncation of the box on the PDE side.
+    """
+    s = grid.spec
+    w3 = _mass(w, grid)
+    x_sheets = np.zeros(s.I, dtype=bool)
+    x_sheets[[0, 1, -2, -1]] = True
+    y_sheets = np.zeros(s.J - 2, dtype=bool)
+    y_sheets[[0, -1]] = True
+    return {
+        "w_mass": float(w3.sum()),
+        "w_negative_mass": float(w3[w3 < 0].sum()),
+        "w_x_sheet_mass": float(w3[x_sheets].sum()),
+        "w_y_sheet_mass": float(w3[:, y_sheets, :].sum()),
+    }
 
 
 def magnitude_violations(

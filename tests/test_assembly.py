@@ -118,6 +118,15 @@ def test_pattern_envelope_and_diagonals():
     assert (diag[eq] >= 1.0).all()
 
 
+def test_triplets_are_the_stored_csr_in_row_major_order():
+    sys = assemble_matrix(small_grid(7, 1e-2), MODEL, 1e-2)
+    assert sys.to_csr() is sys.matrix
+    keys = sys.rows * sys.n + sys.cols
+    assert (np.diff(keys) > 0).all() and (sys.vals != 0).all()
+    rebuilt = sp.csr_matrix((sys.vals, (sys.rows, sys.cols)), shape=(sys.n, sys.n))
+    assert (rebuilt != sys.matrix).nnz == 0
+
+
 def test_reflection_equivariance_with_neumann_sign():
     # P M P^T equals M on equation rows and -M on Neumann rows, bit-exact
     for n, lam in ((5, 0.1), (7, 1e-3)):

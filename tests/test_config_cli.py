@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from bepo import experiments
 from bepo.cli import main
 from bepo.config import RunConfig, parse_config, serialize_config
-from bepo.errors import ParseError, ValidationError
+from bepo.errors import NonFiniteState, ParseError, ValidationError
 from bepo.experiments import run_crossing_sweep, run_serviceability_sweep
-from bepo.solver import SolverConfig
+from bepo.solver import ResolventSolver, SolverConfig
 
 
 def test_empty_document_gives_paper_defaults():
@@ -172,7 +173,7 @@ def test_crossing_sweep_outputs(tmp_path):
         assert r["pde"] > 0
         assert r["mc"] >= 0
     csv = (tmp_path / "crossing_sweep.csv").read_text().splitlines()
-    assert csv[0] == "a1,nu_pde,nu_mc,nu_mc_se,spread,residual"
+    assert csv[0] == "a1,nu_pde,nu_mc,nu_mc_se,nu_rice,residual"
     assert len(csv) == 3
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "config" in manifest and manifest["rows"]
@@ -331,3 +332,49 @@ def test_manifest_rows_record_solver_iterations(tmp_path):
     for r, line in zip(rows, lines[1:]):
         assert r["gap_se"] == pytest.approx((r["pde"] - r["mc"]) / r["mc_se"])
         assert float(line.split(",")[-1]) == pytest.approx(r["gap_se"])
+
+
+def test_sweep_makes_one_adjoint_solve(tmp_path, monkeypatch):
+    """Five levels share one factorization and one solve on the transpose."""
+    calls = []
+    real_solve = ResolventSolver.solve
+
+    def counted(solver, b):
+        calls.append(b)
+        return real_solve(solver, b)
+
+    monkeypatch.setattr(ResolventSolver, "solve", counted)
+    cfg = quick_config("observable.eps0 = 1.0\nmc.enabled = false\n")
+    cfg.sweep = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    rows = run_crossing_sweep(cfg, tmp_path)
+    assert len(calls) == 1
+    assert len({(r["residual"], r["iterations"]) for r in rows}) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    weights = manifest["weights"]
+    assert set(weights) == {"w_mass", "w_negative_mass", "w_x_sheet_mass", "w_y_sheet_mass"}
+    assert weights["w_mass"] == pytest.approx(1.0, abs=1e-9)
+    for r in manifest["rows"]:
+        assert r["nu_rice"] > 0 and "spread" not in r
+
+
+def test_sweep_with_a_nan_right_hand_side_fails_before_writing(tmp_path, monkeypatch):
+    real = experiments.mollified_crossing_speed
+
+    def one_nan_node(a1, eps0):
+        g = real(a1, eps0)
+
+        def fn(x, y, z):
+            out = np.array(g.fn(x, y, z), dtype=float)
+            if a1 > 0:
+                out.flat[out.size // 2] = np.nan
+            return out
+
+        return experiments.Observable(g.kind, fn, g.params, g.even_reflection)
+
+    monkeypatch.setattr(experiments, "mollified_crossing_speed", one_nan_node)
+    cfg = quick_config("observable.eps0 = 1.0\n")
+    cfg.sweep = (-0.5, 0.5)
+    out = tmp_path / "out"
+    with pytest.raises(NonFiniteState):
+        run_crossing_sweep(cfg, out)
+    assert not out.exists()

@@ -16,10 +16,13 @@ from bepo.solver import (
     ResolventSolver,
     SolverConfig,
     evaluate_statistic,
+    invariant_weights,
     magnitude_violations,
+    rice_rate,
     solution_to_csv,
     solve_resolvent,
     summary_to_json,
+    weight_diagnostics,
 )
 
 MODEL = ModelParams()
@@ -203,12 +206,8 @@ def test_elongated_band_system_solves_to_rel_tol():
     assert np.linalg.norm(b - matrix.to_csr() @ rep.v) == pytest.approx(rep.residual)
 
 
-def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
-    """At drop_tol = 0 both halves are factored exactly, so the operator is
-    P^T (D+U)^-1 D (D+L)^-1 P with the line split taken from dense blocks."""
-    I, J, K = 5, 7, 5
-    grid, matrix = _band_system(I, J, K)
-    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
+def _dense_sgs(matrix, I, J, K):
+    """P^T (D+U)^-1 D (D+L)^-1 P from dense line blocks of the y-line order."""
     n = I * J * K
     perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
     Ap = matrix.to_csr().toarray()[np.ix_(perm, perm)]
@@ -217,9 +216,79 @@ def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
     diag = np.where(line[None, :] == line[:, None], Ap, 0.0)
     upper = np.where(line[None, :] >= line[:, None], Ap, 0.0)
     P = np.eye(n)[perm]
-    expected = P.T @ np.linalg.inv(upper) @ diag @ np.linalg.inv(lower) @ P
-    got = np.column_stack([solver.precond.matvec(e) for e in np.eye(n)])
+    return P.T @ np.linalg.inv(upper) @ diag @ np.linalg.inv(lower) @ P
+
+
+def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
+    """At drop_tol = 0 both halves are factored exactly, so the operator is
+    P^T (D+U)^-1 D (D+L)^-1 P with the line split taken from dense blocks."""
+    I, J, K = 5, 7, 5
+    grid, matrix = _band_system(I, J, K)
+    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
+    expected = _dense_sgs(matrix, I, J, K)
+    got = np.column_stack([solver.precond.matvec(e) for e in np.eye(I * J * K)])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_transposed_solver_preconditions_with_the_transpose():
+    """transpose() reuses both factors and applies the dense transpose
+    P^T (D+L)^-T D^T (D+U)^-T P of the forward preconditioner."""
+    I, J, K = 5, 7, 5
+    grid, matrix = _band_system(I, J, K)
+    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
+    adjoint = solver.transpose()
+    expected = _dense_sgs(matrix, I, J, K).T
+    got = np.column_stack([adjoint.precond.matvec(e) for e in np.eye(I * J * K)])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert adjoint.lower is solver.lower and adjoint.upper is solver.upper
+    assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
+    e = np.arange(I * J * K, dtype=float)
+    assert np.array_equal(adjoint.transpose().precond.matvec(e), solver.precond.matvec(e))
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-3])
+@pytest.mark.parametrize("N", [9, 17])
+def test_weights_reproduce_forward_statistics(N, lam):
+    """stat(g) = e_c^T M^-1 g = w @ g with w = M^-T e_c, for every g."""
+    grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
+    solver = ResolventSolver(assemble_matrix(grid, MODEL, lam))
+    w = invariant_weights(solver, grid).v
+    eps0 = 2.0 * (7.0 / (N - 1))
+    for g in (mollified_crossing_speed(0.5, eps0), plastic_band(0.75), constant_observable(1.0)):
+        b = assemble_rhs(grid, g, lam)
+        value, _ = evaluate_statistic(solver.solve(b).v, grid)
+        assert abs(w @ b - value) <= 1e-9
+    assert abs(w @ assemble_rhs(grid, constant_observable(1.0), lam) - 1.0) <= 1e-9
+    assert weight_diagnostics(w, grid)["w_mass"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_weights_and_rice_rates_are_reflection_symmetric():
+    """M commutes with (x, y, z) -> (-x, -y, -z) except on the Neumann rows,
+    whose one-sided differences change sign; on the equation rows w is
+    symmetric, and Rice's rates at a and -a agree."""
+    N, lam = 17, 1e-3
+    grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    eq = w.reshape(N, N, N)[:, 1:-1, :]
+    assert np.abs(eq - eq[::-1, ::-1, ::-1]).max() <= 1e-12 * np.abs(eq).max()
+    peak = rice_rate(w, grid, 0.0)
+    for a in (0.3, 1.0, 2.0, 3.5):
+        assert abs(rice_rate(w, grid, a) - rice_rate(w, grid, -a)) <= 1e-12 * peak
+    assert rice_rate(w, grid, 2.0) > 0
+    assert rice_rate(w, grid, 3.6) == rice_rate(w, grid, -3.6) == 0.0
+
+
+def test_rice_rate_interpolates_linearly_between_nodes():
+    N, lam = 9, 1e-2
+    grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    hx = 7.0 / (N - 1)
+    lo, hi = rice_rate(w, grid, hx), rice_rate(w, grid, 2 * hx)
+    assert rice_rate(w, grid, 1.25 * hx) == pytest.approx(0.75 * lo + 0.25 * hi, rel=1e-12)
+    # at a node, the flux |y| w / hx through its x-slice of equation rows
+    w3 = w.reshape(N, N, N)
+    flux = (np.abs(grid.y[1:-1])[:, None] * w3[(N - 1) // 2 + 1, 1:-1, :]).sum() / hx
+    assert lo == pytest.approx(flux, rel=1e-12)
 
 
 def test_long_y_lines_converge_in_few_iterations():
