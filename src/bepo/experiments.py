@@ -85,11 +85,31 @@ def pde_statistic(cfg: RunConfig, g: Observable, matrix=None, grid=None) -> Solv
     return report
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def write_manifest(
-    out: Path, cfg: RunConfig, rows, wall_clock: float, weights: dict | None = None
+    out: Path,
+    cfg: RunConfig,
+    rows,
+    wall_clock: float,
+    weights: dict | None = None,
+    stages: dict | None = None,
 ) -> None:
-    """manifest.json; `weights` holds the weight diagnostics of runs that
-    solve for the discrete invariant measure."""
+    """manifest.json, strict JSON: a NaN or an infinity is written as null.
+
+    `weights` holds the weight diagnostics of runs that solve for the
+    discrete invariant measure, and `stages` the stage record of runs that
+    factor and solve (`_stages`).
+    """
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": __version__,
@@ -99,7 +119,10 @@ def write_manifest(
     }
     if weights is not None:
         manifest["weights"] = weights
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    if stages is not None:
+        manifest["stages"] = stages
+    text = json.dumps(_strict(manifest), indent=2, allow_nan=False)
+    (out / "manifest.json").write_text(text + "\n")
 
 
 def run_solve(cfg: RunConfig, out: Path) -> dict:
@@ -176,6 +199,19 @@ def _level_observable(cfg: RunConfig, level: float, kind: str) -> Observable:
     return mollified_crossing_speed(level, cfg.resolved_eps0())
 
 
+def _stages(assemble_s: float, factor_s: float, solve_s: float, solver) -> dict:
+    """The manifest's `stages` record of one factor-and-solve: seconds of
+    assembly (matrix and right-hand sides), of the y-line split and both
+    incomplete LUs, and of the Krylov solves, plus each factor's nonzeros."""
+    return {
+        "assemble_s": assemble_s,
+        "factor_s": factor_s,
+        "solve_s": solve_s,
+        "lower_nnz": solver.lower.nnz,
+        "upper_nnz": solver.upper.nnz,
+    }
+
+
 def _pde_sweep(cfg: RunConfig, observables):
     """Every observable's statistic from one adjoint solve; ordered by input.
 
@@ -183,22 +219,36 @@ def _pde_sweep(cfg: RunConfig, observables):
     and factored once, and one solve on its transpose gives the weights w
     with stat(g) = w @ g (`invariant_weights`). Every right-hand side is
     checked for non-finite entries before the solve. Returns the
-    statistics, the report of the adjoint solve (w is its v) and the grid.
+    statistics, the report of the adjoint solve (w is its v), the grid and
+    the stage record.
     """
     grid = build_grid(cfg.grid)
     lam = cfg.grid.lam
-    solver = ResolventSolver(assemble_matrix(grid, cfg.model, lam), cfg.solver)
+    start = time.perf_counter()
+    matrix = assemble_matrix(grid, cfg.model, lam)
+    assembled = time.perf_counter()
+    solver = ResolventSolver(matrix, cfg.solver)
+    factored = time.perf_counter()
+    # the right-hand sides come after the factorization, whose freed
+    # workspace they reuse; built before it, they raise the peak RSS
     rhs = [assemble_rhs(grid, g, lam) for g in observables]
     for b in rhs:
         require_finite(b)
+    ready = time.perf_counter()
     adjoint = invariant_weights(solver, grid)
-    return [float(adjoint.v @ b) for b in rhs], adjoint, grid
+    stages = _stages(
+        (assembled - start) + (ready - factored),
+        factored - assembled,
+        time.perf_counter() - ready,
+        solver,
+    )
+    return [float(adjoint.v @ b) for b in rhs], adjoint, grid, stages
 
 
 def _sweep_common(cfg: RunConfig, out: Path, kind: str):
     t0 = time.perf_counter()
     levels = list(cfg.sweep)
-    stats, adjoint, grid = _pde_sweep(
+    stats, adjoint, grid, stages = _pde_sweep(
         cfg, [_level_observable(cfg, lv, kind) for lv in levels]
     )
     mc = _mc_levels(cfg, levels, kind) if cfg.mc_enabled else [(float("nan"), float("nan"))] * len(levels)
@@ -222,7 +272,7 @@ def _sweep_common(cfg: RunConfig, out: Path, kind: str):
             fh.write(",".join(f"{r[key]:.12g}" for key in columns) + "\n")
     _write_plot_script(out, csv.name, kind)
     write_manifest(
-        out, cfg, rows, time.perf_counter() - t0, weight_diagnostics(adjoint.v, grid)
+        out, cfg, rows, time.perf_counter() - t0, weight_diagnostics(adjoint.v, grid), stages
     )
     return rows
 
@@ -258,7 +308,10 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
 
     Each axis is refined n_refinements times while the other axes stay at
     the base resolution; consecutive-level sup differences and the order
-    estimates between them are reported per axis.
+    estimates between them are reported per axis. The manifest's `stages`
+    sums the stage records of every level's factor-and-solve; with
+    threads > 1 the levels overlap, so the seconds add up to more than the
+    wall clock.
     """
     t0 = time.perf_counter()
     g = observable_from_config(cfg)
@@ -266,20 +319,28 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
 
     def solve_on(spec: GridSpec):
         grid = build_grid(spec)
-        sys = assemble_matrix(grid, cfg.model, spec.lam)
-        sys.rhs = assemble_rhs(grid, g, spec.lam)
-        return solve_resolvent(sys, cfg.solver)
+        start = time.perf_counter()
+        matrix = assemble_matrix(grid, cfg.model, spec.lam)
+        b = assemble_rhs(grid, g, spec.lam)
+        assembled = time.perf_counter()
+        solver = ResolventSolver(matrix, cfg.solver)
+        factored = time.perf_counter()
+        report = solver.solve(b)
+        solve_s = time.perf_counter() - factored
+        return report, _stages(assembled - start, factored - assembled, solve_s, solver)
 
-    base = solve_on(cfg.grid)
+    base, base_stages = solve_on(cfg.grid)
+    level_stages = [base_stages]
     for axis in ("x", "y", "z"):
         ladder = refinement_ladder(cfg.grid, axis, cfg.n_refinements)
-        reports = [base]
         specs = list(ladder.levels)
         if threads > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                reports += list(pool.map(solve_on, specs[1:]))
+                solved = list(pool.map(solve_on, specs[1:]))
         else:
-            reports += [solve_on(spec) for spec in specs[1:]]
+            solved = [solve_on(spec) for spec in specs[1:]]
+        reports = [base] + [report for report, _ in solved]
+        level_stages += [stages for _, stages in solved]
         diffs = [
             sup_diff_on_common(
                 reports[m].v, reports[m + 1].v, specs[m], specs[m + 1], cfg.interior_only
@@ -310,7 +371,8 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
             fh.write(
                 f"{r['axis']},{r['level']},{r['h']:.12g},{r['diff']:.12g},{r['order']:.12g}\n"
             )
-    write_manifest(out, cfg, rows, time.perf_counter() - t0)
+    stages = {key: sum(st[key] for st in level_stages) for key in level_stages[0]}
+    write_manifest(out, cfg, rows, time.perf_counter() - t0, stages=stages)
     return rows
 
 
@@ -329,7 +391,7 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
     a2_levels = [cfg.a2]
 
-    stats, adjoint, grid = _pde_sweep(
+    stats, adjoint, grid, stages = _pde_sweep(
         cfg,
         [_level_observable(cfg, lv, "crossing") for lv in a1_levels]
         + [_level_observable(cfg, lv, "band") for lv in a2_levels],
@@ -367,6 +429,6 @@ def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
             )
     write_manifest(
         out, cfg, rows + rice_rows, time.perf_counter() - t0,
-        weight_diagnostics(adjoint.v, grid),
+        weight_diagnostics(adjoint.v, grid), stages,
     )
     return rows

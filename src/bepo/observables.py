@@ -21,7 +21,6 @@ __all__ = [
     "mollified_crossing_speed",
     "plastic_band",
     "constant_observable",
-    "custom_observable",
     "check_resolution",
 ]
 
@@ -30,7 +29,7 @@ __all__ = [
 class Observable:
     """A scalar field with metadata.
 
-    kind            : "crossing", "band", "constant", or "custom"
+    kind            : "crossing", "band" or "constant"
     fn              : vectorized g(x, y, z) -> array
     params          : the defining constants (a1/eps0, a2, or c)
     even_reflection : True when g(-x, -y, -z) = g(x, y, z) exactly
@@ -55,10 +54,7 @@ class Observable:
             return y_bar * peak / (math.sqrt(2.0 * math.pi) * eps0)
         if self.kind == "band":
             return 1.0
-        if self.kind == "constant":
-            return abs(self.params["c"])
-        warnings.warn("custom observable: sup-norm diagnostic unavailable")
-        return math.inf
+        return abs(self.params["c"])
 
 
 def mollified_crossing_speed(a1: float, eps0: float) -> Observable:
@@ -109,11 +105,6 @@ def constant_observable(c: float) -> Observable:
         return np.full(np.broadcast(x, y, z).shape, float(c))
 
     return Observable(kind="constant", fn=fn, params={"c": c}, even_reflection=True)
-
-
-def custom_observable(fn, even_reflection: bool = False) -> Observable:
-    """Arbitrary vectorized field for research use; no sup-norm diagnostics."""
-    return Observable(kind="custom", fn=fn, params={}, even_reflection=even_reflection)
 
 
 def check_resolution(eps0: float, dx_unscaled: float) -> bool:

@@ -4,14 +4,16 @@ Restarted GMRES, preconditioned on the left by a symmetric block
 Gauss-Seidel sweep over y-lines. With the nodes renumbered so that each
 (i, k) line of J nodes along y is contiguous, the matrix splits into line
 blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1, each
-block-triangular half factored once by a threshold incomplete LU in that
-order. The line blocks hold the stiff y diffusion and the beta drift; the x
-and z advection speeds depend on y only, so each half's upwind x/z transport
-runs one way between lines, and the forward and backward sweeps absorb the
-y < 0 and y > 0 rows. scipy's GMRES iterates on the preconditioned residual
-but ends each restart cycle on the true residual ||b - M v||, and the solver
-recomputes that residual once more before it accepts a solution, so every
-returned field meets rel_tol on the original system.
+block-triangular half factored once by a threshold incomplete LU. Both are
+factored block-upper-triangular, where SuperLU's natural order is cheapest:
+D+U as it is, and D+L as R (D+L) R, with R the index reversal. The line
+blocks hold the stiff y diffusion and the beta drift; the x and z advection
+speeds depend on y only, so each half's upwind x/z transport runs one way
+between lines, and the forward and backward sweeps absorb the y < 0 and
+y > 0 rows. The GMRES routine (`_gmres`) iterates on the preconditioned
+residual but ends each restart cycle on the true residual ||b - M v||, and
+the solver recomputes that residual once more before it accepts a solution,
+so every returned field meets rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
 the center node. The same factors, transposed, solve M^T w = e_c once
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import SparseSystem
 from .errors import NoConvergence, NonFiniteState, PreconditionerBreakdown
@@ -115,38 +119,39 @@ class SolveReport:
         }
 
 
-def _yline_split(A: sp.csr_matrix, shape: tuple[int, int, int]):
-    """P A P^T in y-line order (i, k, j; j fastest), split by line blocks.
+def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int]):
+    """perm and P A P^T as CSC, in y-line order (i, k, j; j fastest).
 
-    Returns perm, with (P v)[p] = v[perm[p]], the permuted matrix as COO,
-    and each entry's side of the line blocks: -1 below them (L, from an
-    earlier line), 0 within them (D) and +1 above them (U). Row and column
-    p of the permuted matrix belong to line p // J.
+    (P v)[p] = v[perm[p]]. Row and column p of P A P^T belong to line p // J.
+    Gathering the rows of A in perm order and renaming the columns gives the
+    CSR of P A P^T; the CSC conversion sorts each column's rows.
     """
     I, J, K = shape
-    i, k, j = np.meshgrid(
-        np.arange(I, dtype=np.int32),
-        np.arange(K, dtype=np.int32),
-        np.arange(J, dtype=np.int32),
-        indexing="ij",
-        sparse=True,
-    )
-    perm = ((i * J + j) * K + k).ravel()
+    perm = np.arange(I * J * K, dtype=np.int32).reshape(I, J, K).transpose(0, 2, 1).ravel()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.int32)
-    Ap = A.tocoo()
-    Ap.row, Ap.col = inv[Ap.row], inv[Ap.col]
-    side = np.sign(Ap.col // J - Ap.row // J).astype(np.int8)
-    return perm, Ap, side
+    rows = A[perm]
+    return perm, sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=A.shape).tocsc()
 
 
-def _part(Ap: sp.coo_matrix, keep: np.ndarray) -> sp.csc_matrix:
-    """The entries of Ap where keep is true."""
-    return sp.csc_matrix((Ap.data[keep], (Ap.row[keep], Ap.col[keep])), shape=Ap.shape)
+def _cut(Ap: sp.csc_matrix, keep: np.ndarray, reverse: bool = False) -> sp.csc_matrix:
+    """The entries of Ap where keep is true; with reverse, R of them R.
+
+    R is the index reversal, (R v)[p] = v[n-1-p]. In CSC, R M R reverses the
+    data, the row indices (renumbered n-1-r) and the column pointers.
+    """
+    data, rows = Ap.data[keep], Ap.indices[keep]
+    kept = np.zeros(keep.size + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    ptr = kept[Ap.indptr]
+    if reverse:
+        data, rows, ptr = data[::-1].copy(), Ap.shape[0] - 1 - rows[::-1], ptr[-1] - ptr[::-1]
+    return sp.csc_matrix((data, rows, ptr), shape=Ap.shape)
 
 
 def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
-    """Threshold incomplete LU of one block-triangular half, in its own order.
+    """Threshold incomplete LU of one block-upper-triangular half, in its own
+    order.
 
     No pivoting and the plain threshold rule: SuperLU's default area rule
     (`basic,area`) stalls GMRES on long y-lines. Panels of one column and
@@ -173,18 +178,85 @@ def _sgs(perm, lower, diag, upper, trans="N"):
     """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]], or with
     trans="T" its transpose v -> P^T (D+L)^-T D^T (D+U)^-T P v.
 
-    A closure over the factors only, so the preconditioner holds no
-    reference back to the solver and a spent solver is freed by refcounting.
+    `lower` factors R (D+L) R, so (D+L)^-1 u = R lower^-1 R u, with the
+    reversal R folded into the gather and scatter through perm[::-1]. A
+    closure over the factors only, so the preconditioner holds no reference
+    back to the solver and a spent solver is freed by refcounting.
     """
-    first, mid, last = (lower, diag, upper) if trans == "N" else (upper, diag.T, lower)
+    rperm = perm[::-1].copy()
 
-    def apply(r):
-        w = last.solve(mid @ first.solve(r[perm], trans=trans), trans=trans)
-        out = np.empty_like(w)
-        out[perm] = w
-        return out
+    if trans == "N":
+
+        def apply(r):
+            out = np.empty_like(r)
+            out[perm] = upper.solve(diag @ lower.solve(r[rperm])[::-1])
+            return out
+
+    else:
+        diag_t = diag.T
+
+        def apply(r):
+            out = np.empty_like(r)
+            out[rperm] = lower.solve((diag_t @ upper.solve(r[perm], trans="T"))[::-1], trans="T")
+            return out
 
     return apply
+
+
+def _gmres(A, b, precond, tol, restart, cycles):
+    """Left-preconditioned restarted GMRES from 0; returns v and the number
+    of Arnoldi steps.
+
+    Stops when the true residual ||b - A v|| is at most tol * ||b||, or
+    after `cycles` restart cycles; the caller checks the residual again.
+    Each cycle starts from the true residual r and iterates until the
+    preconditioned residual has fallen by the factor that r still needs:
+    ||M^-1 r|| * tol * ||b|| / ||r||, which in the first cycle is
+    tol * ||M^-1 b||. M^-1 is applied once per cycle and once per step, so
+    a solve done in one cycle applies it steps + 1 times. The basis is one
+    contiguous (restart + 1, n) array, orthogonalized by classical
+    Gram-Schmidt run twice, and the Givens rotations act on Python floats.
+    """
+    v = np.zeros(b.size)
+    r, target = b, tol * float(np.linalg.norm(b))
+    basis = np.empty((restart + 1, b.size))
+    hess = np.zeros((restart, restart))
+    steps = 0
+    for _ in range(cycles):
+        r_norm = float(np.linalg.norm(r))
+        if not r_norm > target:  # a NaN stops here too
+            break
+        z = precond(r)
+        beta = float(np.linalg.norm(z))
+        inner_target = beta * target / r_norm
+        basis[0] = z / beta
+        g, rotations = [beta], []
+        for j in range(restart):
+            w = precond(A @ basis[j])
+            V = basis[: j + 1]
+            h = V @ w
+            w -= h @ V
+            h2 = V @ w
+            w -= h2 @ V
+            col = (h + h2).tolist()
+            h_next = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = math.hypot(col[j], h_next)
+            c, s = col[j] / d, h_next / d
+            rotations.append((c, s))
+            col[j] = d
+            hess[: j + 1, j] = col
+            g[j], g_next = c * g[j], -s * g[j]
+            g.append(g_next)
+            steps += 1
+            if not abs(g_next) > inner_target:
+                break
+            basis[j + 1] = w / h_next
+        m = len(rotations)
+        v += solve_triangular(hess[:m, :m], g[:m], check_finite=False) @ basis[:m]
+        r = b - A @ v
+    return v, steps
 
 
 def require_finite(b: np.ndarray) -> None:
@@ -198,32 +270,34 @@ class ResolventSolver:
     """Factors the matrix once and solves any number of right-hand sides.
 
     The factorization is the dominant cost, so it is built once here and
-    reused per solve. `lower` and `upper` are the incomplete factors of D+L
-    and D+U, and `precond` is the symmetric block Gauss-Seidel operator built
-    on them. `transpose` returns a solver for M^T on the same factors, which
-    finds the discrete invariant measure w = M^-T e_c of `invariant_weights`.
+    reused per solve. P A P^T is formed once in CSC, and D, D+U and D+L are
+    cut from it by the line of each entry's row and column. `lower` and
+    `upper` are the incomplete factors of R (D+L) R and D+U, and `precond`
+    is the symmetric block Gauss-Seidel function built on them. `transpose`
+    returns a solver for M^T on the same factors, which finds the discrete
+    invariant measure w = M^-T e_c of `invariant_weights`.
     """
 
     def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None):
         self.cfg = cfg if cfg is not None else SolverConfig()
         self.A = sys.to_csr()
         self.n = sys.n
-        perm, Ap, side = _yline_split(self.A, sys.shape)
+        J = sys.shape[1]
+        perm, Ap = _yline_order(self.A, sys.shape)
+        # the line of each entry's column, less the line of its row
+        side = np.repeat(np.arange(self.n, dtype=np.int32) // J, np.diff(Ap.indptr))
+        side -= Ap.indices // J
         # each half is built only for its own factorization, so SuperLU's
         # workspace never sits on top of both
-        self.lower = _ilu(_part(Ap, side <= 0), self.cfg)
-        self.diag = _part(Ap, side == 0).tocsr()
-        self.upper = _ilu(_part(Ap, side >= 0), self.cfg)
+        self.lower = _ilu(_cut(Ap, side <= 0, reverse=True), self.cfg)
+        self.diag = _cut(Ap, side == 0).tocsr()
+        self.upper = _ilu(_cut(Ap, side >= 0), self.cfg)
         self.perm = perm
         self._precondition("N")
 
     def _precondition(self, trans: str) -> None:
         self.trans = trans
-        self.precond = spla.LinearOperator(
-            (self.n, self.n),
-            matvec=_sgs(self.perm, self.lower, self.diag, self.upper, trans),
-            dtype=float,
-        )
+        self.precond = _sgs(self.perm, self.lower, self.diag, self.upper, trans)
 
     def transpose(self) -> ResolventSolver:
         """A solver for M^T that shares this one's factors and settings.
@@ -253,22 +327,8 @@ class ResolventSolver:
         if bnorm == 0.0:
             return SolveReport(v=np.zeros(self.n), residual=0.0, iterations=0)
 
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        v, _ = spla.gmres(
-            self.A,
-            b,
-            M=self.precond,
-            rtol=cfg.rel_tol * cfg.polish_factor,
-            atol=0.0,
-            restart=cfg.restart,
-            maxiter=cfg.max_iters,
-            callback=count,
-            callback_type="pr_norm",
+        v, iters = _gmres(
+            self.A, b, self.precond, cfg.rel_tol * cfg.polish_factor, cfg.restart, cfg.max_iters
         )
         res = float(np.linalg.norm(b - self.A @ v))
         if not res <= cfg.rel_tol * bnorm:
@@ -338,6 +398,9 @@ def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
     nu(a) = sum_{j, k} w[i, j, k] |y_j| / hx over the equation rows, with hx
     the unscaled x spacing, interpolated linearly in x between the two
     nodes around a. No mollifier enters. A level outside the box gives 0.
+    Warns when either node lies in the two outer x sheets on a side, where
+    the inward one-sided face stencils give w negative mass and the rate
+    can come out negative.
     """
     s = grid.spec
     if not abs(a) <= s.x_bar:
@@ -349,6 +412,11 @@ def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
     u = a / hx
     i = min(math.floor(u) + (s.I - 1) // 2, s.I - 2)
     t = u - (i - (s.I - 1) // 2)
+    if i <= 1 or i + 1 >= s.I - 2:
+        warnings.warn(
+            f"Rice's rate at a={a:g} reads the weights in the outer x sheets "
+            "of the box, where they carry negative mass; it is unreliable there"
+        )
     flux = [float(speed @ w3[m].sum(axis=1)) for m in (i, i + 1)]
     return (1.0 - t) * flux[0] + t * flux[1]
 

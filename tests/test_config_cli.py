@@ -183,6 +183,44 @@ def test_crossing_sweep_outputs(tmp_path):
     assert rows2 == rows
 
 
+def test_manifest_is_strict_json_and_reproduces_without_monte_carlo(tmp_path):
+    """With Monte Carlo off, mc and mc_se are NaN; the manifest writes them
+    as null, so a strict parser reads it and a re-run compares equal."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cfg = quick_config("observable.eps0 = 1.0\nmc.enabled = false\nsweep.values = -0.5, 0.5\n")
+    cfg.experiment = "crossing-sweep"
+    run_crossing_sweep(cfg, tmp_path / "first")
+    text = (tmp_path / "first" / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert all(r["mc"] is None and r["mc_se"] is None for r in manifest["rows"])
+    run_crossing_sweep(parse_config(manifest["config"]), tmp_path / "again")
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text(), parse_constant=reject)
+    assert again["rows"] == manifest["rows"]
+    csv = (tmp_path / "first" / "crossing_sweep.csv").read_text().splitlines()
+    assert csv[1].split(",")[2:4] == ["nan", "nan"]
+
+
+def test_manifests_record_stage_timings(tmp_path):
+    from bepo.experiments import run_convergence, run_cross_validate
+
+    cfg = quick_config("observable.eps0 = 1.0\nsweep.values = 0.5\n")
+    cfg.n_refinements = 1
+    runs = {
+        "sweep": run_crossing_sweep,
+        "convergence": run_convergence,
+        "cross": run_cross_validate,
+    }
+    for name, run in runs.items():
+        run(cfg, tmp_path / name)
+        stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
+        assert set(stages) == {"assemble_s", "factor_s", "solve_s", "lower_nnz", "upper_nnz"}
+        assert all(stages[key] > 0 for key in stages)
+        assert isinstance(stages["lower_nnz"], int)
+
+
 def test_serviceability_sweep_monotone_mc(tmp_path):
     cfg = quick_config()
     cfg.experiment = "serviceability-sweep"

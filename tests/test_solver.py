@@ -5,8 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
+import bepo.solver as solver_module
 from bepo.assembly import assemble_matrix, assemble_rhs, assemble_system
 from bepo.errors import NoConvergence, NonFiniteState
 from bepo.grid import GridSpec, build_grid
@@ -151,7 +151,7 @@ def test_non_finite_rhs_raises_before_iterating(grid9, matrix9, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("GMRES ran on a non-finite right-hand side")
 
-    monkeypatch.setattr(spla, "gmres", never)
+    monkeypatch.setattr(solver_module, "_gmres", never)
     solver = ResolventSolver(matrix9)
     for bad in (np.nan, np.inf):
         b = np.ones(matrix9.n)
@@ -164,18 +164,60 @@ def test_inaccurate_gmres_result_with_success_flag_raises(grid9, matrix9, monkey
     """The accepted field is checked against the true residual, whatever
     GMRES reports: a vector a couple of iterations short of the target that
     comes back with info = 0 must not pass."""
-    real_gmres = spla.gmres
+    real_gmres = solver_module._gmres
 
-    def short(A, b, **kwargs):
-        kwargs.update(restart=2, maxiter=1)
-        x, _ = real_gmres(A, b, **kwargs)
-        return x, 0
+    def short(A, b, precond, tol, restart, cycles):
+        return real_gmres(A, b, precond, tol, 2, 1)
 
-    monkeypatch.setattr(spla, "gmres", short)
+    monkeypatch.setattr(solver_module, "_gmres", short)
     b = assemble_rhs(grid9, mollified_crossing_speed(0.0, 1.0), 1e-2)
     with pytest.raises(NoConvergence) as info:
         ResolventSolver(matrix9).solve(b)
     assert info.value.residual > SolverConfig().rel_tol
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "adjoint"])
+def test_gmres_matches_a_dense_solve(grid9, matrix9, transpose):
+    """On 9^3 the solve meets rel_tol on the true residual, and its field
+    agrees with a dense LU solve to the accuracy that residual implies."""
+    solver = ResolventSolver(matrix9)
+    if transpose:
+        solver = solver.transpose()
+    dense = solver.A.toarray()
+    b = assemble_rhs(grid9, mollified_crossing_speed(0.5, 1.0), 1e-2)
+    rep = solver.solve(b)
+    exact = np.linalg.solve(dense, b)
+    rel_tol = solver.cfg.rel_tol
+    assert np.linalg.norm(b - dense @ rep.v) <= rel_tol * np.linalg.norm(b)
+    bound = np.linalg.cond(dense) * rel_tol * np.linalg.norm(exact)
+    assert np.linalg.norm(rep.v - exact) <= bound
+
+
+def test_single_cycle_applies_the_preconditioner_once_per_step_plus_one(grid9, matrix9):
+    """M^-1 goes once to b and once to each Arnoldi step, never twice to b.
+    max_iters = 1 allows one restart cycle, and this solve converges in it."""
+    solver = ResolventSolver(matrix9, SolverConfig(max_iters=1)).transpose()
+    applied = []
+    precond = solver.precond
+
+    def counted(r):
+        applied.append(r)
+        return precond(r)
+
+    solver.precond = counted
+    rep = solver.solve(assemble_rhs(grid9, mollified_crossing_speed(0.0, 1.0), 1e-2))
+    assert 0 < rep.iterations < solver.cfg.restart
+    assert len(applied) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("max_iters, restart", [(1, 2), (1, 5), (3, 1)])
+def test_too_short_a_krylov_budget_raises(grid9, matrix9, max_iters, restart):
+    """A budget GMRES cannot converge in raises; no vector comes back."""
+    b = assemble_rhs(grid9, mollified_crossing_speed(0.0, 1.0), 1e-2)
+    cfg = SolverConfig(max_iters=max_iters, restart=restart)
+    with pytest.raises(NoConvergence) as info:
+        ResolventSolver(matrix9, cfg).solve(b)
+    assert info.value.residual > cfg.rel_tol
 
 
 def test_spent_solver_is_freed_without_the_cycle_collector(grid9, matrix9):
@@ -226,7 +268,7 @@ def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
     grid, matrix = _band_system(I, J, K)
     solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
     expected = _dense_sgs(matrix, I, J, K)
-    got = np.column_stack([solver.precond.matvec(e) for e in np.eye(I * J * K)])
+    got = np.column_stack([solver.precond(e) for e in np.eye(I * J * K)])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -238,12 +280,12 @@ def test_transposed_solver_preconditions_with_the_transpose():
     solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
     adjoint = solver.transpose()
     expected = _dense_sgs(matrix, I, J, K).T
-    got = np.column_stack([adjoint.precond.matvec(e) for e in np.eye(I * J * K)])
+    got = np.column_stack([adjoint.precond(e) for e in np.eye(I * J * K)])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert adjoint.lower is solver.lower and adjoint.upper is solver.upper
     assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
     e = np.arange(I * J * K, dtype=float)
-    assert np.array_equal(adjoint.transpose().precond.matvec(e), solver.precond.matvec(e))
+    assert np.array_equal(adjoint.transpose().precond(e), solver.precond(e))
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-3])
@@ -276,6 +318,22 @@ def test_weights_and_rice_rates_are_reflection_symmetric():
         assert abs(rice_rate(w, grid, a) - rice_rate(w, grid, -a)) <= 1e-12 * peak
     assert rice_rate(w, grid, 2.0) > 0
     assert rice_rate(w, grid, 3.6) == rice_rate(w, grid, -3.6) == 0.0
+
+
+def test_rice_rate_warns_in_the_outer_x_sheets():
+    """Near the x faces w carries negative mass, and Rice's rate reads
+    -1.2e-3 at a = 3.0 on 17^3; levels whose nodes avoid the two outer
+    sheets on each side stay silent."""
+    N, lam = 17, 1e-3
+    grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    for a in (3.0, -3.0, 3.5, -3.5):
+        with pytest.warns(UserWarning, match="outer x sheets"):
+            rice_rate(w, grid, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (0.0, 1.0, -1.0, 2.0, -2.0):
+            assert rice_rate(w, grid, a) > 0
 
 
 def test_rice_rate_interpolates_linearly_between_nodes():
