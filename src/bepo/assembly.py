@@ -36,7 +36,6 @@ __all__ = [
     "assemble_rhs",
     "assemble_system",
     "oracle_assemble",
-    "export_matrix_coo",
 ]
 
 
@@ -73,9 +72,6 @@ class SparseSystem:
 
     def to_csr(self) -> sp.csr_matrix:
         return self.matrix
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
 
 
 def _merge_triplets(n, rows, cols, vals) -> sp.csr_matrix:
@@ -386,10 +382,3 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         np.asarray(vals_l, dtype=np.float64),
     )
     return SparseSystem(shape=(I, J, K), matrix=matrix, rhs=np.zeros(n))
-
-
-def export_matrix_coo(sys: SparseSystem, path) -> None:
-    """Debug export: `row col value` per line, 1-based, sorted by (row, col)."""
-    with open(path, "w") as fh:
-        for r, c, v in zip(sys.rows, sys.cols, sys.vals):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")

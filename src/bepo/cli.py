@@ -37,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", type=Path, help="config document (key = value)")
     parser.add_argument("--out", type=Path, default=Path("runs/latest"))
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="levels of convergence solved at once"
+    )
     parser.add_argument("--seed", type=int, help="override sim.seed")
     return parser
 
@@ -63,13 +65,13 @@ def main(argv=None) -> int:
                 f"outside_box={row['outside_box_fraction']:.3g}"
             )
         elif args.experiment == "crossing-sweep":
-            for r in run_crossing_sweep(cfg, args.out, args.threads):
+            for r in run_crossing_sweep(cfg, args.out):
                 print(
                     f"a1={r['level']:g} nu_pde={r['pde']:.6g} nu_mc={r['mc']:.6g} "
                     f"se={r['mc_se']:.3g}"
                 )
         elif args.experiment == "serviceability-sweep":
-            for r in run_serviceability_sweep(cfg, args.out, args.threads):
+            for r in run_serviceability_sweep(cfg, args.out):
                 print(
                     f"a2={r['level']:g} P_pde={r['pde']:.6g} P_mc={r['mc']:.6g} "
                     f"se={r['mc_se']:.3g}"
@@ -81,7 +83,7 @@ def main(argv=None) -> int:
                     f"diff={r['diff']:.6g} order={r['order']:.6g}"
                 )
         else:
-            for r in run_cross_validate(cfg, args.out, args.threads):
+            for r in run_cross_validate(cfg, args.out):
                 print(
                     f"{r['kind']} level={r['level']:g} pde={r['pde']:.6g} "
                     f"mc={r['mc']:.6g} se={r['mc_se']:.3g} diff={r['abs_diff']:.3g} "

@@ -201,14 +201,16 @@ def _level_observable(cfg: RunConfig, level: float, kind: str) -> Observable:
 
 def _stages(assemble_s: float, factor_s: float, solve_s: float, solver) -> dict:
     """The manifest's `stages` record of one factor-and-solve: seconds of
-    assembly (matrix and right-hand sides), of the y-line split and both
-    incomplete LUs, and of the Krylov solves, plus each factor's nonzeros."""
+    assembly (matrix and right-hand sides), of the y-line split and the
+    incomplete LUs, and of the Krylov solves, plus the number of incomplete
+    LUs computed (1 when the two sweeps share one) and their stored
+    nonzeros, a shared factor counted once."""
     return {
         "assemble_s": assemble_s,
         "factor_s": factor_s,
         "solve_s": solve_s,
-        "lower_nnz": solver.lower.nnz,
-        "upper_nnz": solver.upper.nnz,
+        "factors": len(solver.factors),
+        "factor_nnz": sum(factor.nnz for factor in solver.factors),
     }
 
 
@@ -292,12 +294,12 @@ def _write_plot_script(out: Path, csv_name: str, kind: str) -> None:
     (out / "plot.gp").write_text(script)
 
 
-def run_crossing_sweep(cfg: RunConfig, out: Path, threads: int = 1):
+def run_crossing_sweep(cfg: RunConfig, out: Path):
     """nu(a1) for each sweep value by the PDE route, plus MC when enabled."""
     return _sweep_common(cfg, out, "crossing")
 
 
-def run_serviceability_sweep(cfg: RunConfig, out: Path, threads: int = 1):
+def run_serviceability_sweep(cfg: RunConfig, out: Path):
     """P(a2) for each sweep value; the MC column shares one sample set and
     is therefore exactly nondecreasing in a2."""
     return _sweep_common(cfg, out, "band")
@@ -376,7 +378,7 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
     return rows
 
 
-def run_cross_validate(cfg: RunConfig, out: Path, threads: int = 1):
+def run_cross_validate(cfg: RunConfig, out: Path):
     """Both routes at matched settings for crossing and band observables.
 
     Crossing levels come from cfg.sweep when given (else a1); band radii

@@ -3,17 +3,21 @@
 Restarted GMRES, preconditioned on the left by a symmetric block
 Gauss-Seidel sweep over y-lines. With the nodes renumbered so that each
 (i, k) line of J nodes along y is contiguous, the matrix splits into line
-blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1, each
-block-triangular half factored once by a threshold incomplete LU. Both are
-factored block-upper-triangular, where SuperLU's natural order is cheapest:
-D+U as it is, and D+L as R (D+L) R, with R the index reversal. The line
-blocks hold the stiff y diffusion and the beta drift; the x and z advection
-speeds depend on y only, so each half's upwind x/z transport runs one way
-between lines, and the forward and backward sweeps absorb the y < 0 and
-y > 0 rows. The GMRES routine (`_gmres`) iterates on the preconditioned
-residual but ends each restart cycle on the true residual ||b - M v||, and
-the solver recomputes that residual once more before it accepts a solution,
-so every returned field meets rel_tol on the original system.
+blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1 with
+block-triangular halves factored by a threshold incomplete LU. Both halves
+are block-upper-triangular in the form factored, where SuperLU's natural
+order is cheapest: D+U as it is, and D+L as R (D+L) R, with R the index
+reversal. R is the point reflection (x, y, z) -> (-x, -y, -z), under which
+the oscillator is odd unless its force has a constant term, and then
+R (D+L) R = S (D+U) bit for bit, S = -1 on the Neumann rows; the one
+incomplete LU of D+U then serves both sweeps. The line blocks hold the stiff
+y diffusion and the beta drift; the x and z advection speeds depend on y
+only, so each half's upwind x/z transport runs one way between lines, and
+the forward and backward sweeps absorb the y < 0 and y > 0 rows. The GMRES
+routine (`_gmres`) iterates on the preconditioned residual but ends each
+restart cycle on the true residual ||b - M v||, and the solver recomputes
+that residual once more before it accepts a solution, so every returned
+field meets rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
 the center node. The same factors, transposed, solve M^T w = e_c once
@@ -60,11 +64,12 @@ class SolverConfig:
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
     max_iters     : GMRES restart cycles
     restart       : GMRES restart length
-    drop_tol      : threshold below which the incomplete LU of each
-                    block-triangular half (D+L and D+U, y-line order) drops
-                    an entry; 0 factors both halves exactly
-    fill_factor   : bound on the fill of each half's incomplete LU, as a
-                    multiple of that half's nonzeros
+    drop_tol      : threshold below which the incomplete LU of a
+                    block-triangular half (D+U, and D+L when it is not the
+                    mirror of D+U; y-line order) drops an entry; 0 factors
+                    exactly
+    fill_factor   : bound on the fill of each incomplete LU, as a multiple
+                    of its half's nonzeros
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -149,6 +154,40 @@ def _cut(Ap: sp.csc_matrix, keep: np.ndarray, reverse: bool = False) -> sp.csc_m
     return sp.csc_matrix((data, rows, ptr), shape=Ap.shape)
 
 
+def _mirrors(lower: sp.csc_matrix, upper: sp.csc_matrix, sign: np.ndarray) -> bool:
+    """Whether R (D+L) R == S (D+U) bit for bit, S = diag(sign).
+
+    The point reflection (x, y, z) -> (-x, -y, -z) is the index reversal R
+    of the y-line order. The assembly keeps R M R = S M with S = -1 on the
+    Neumann rows whenever the oscillator is odd under it (force.const = 0),
+    and R maps the lines below a line onto those above it. The check reads
+    the matrix, not the model, so a half that does not fit is factored.
+    """
+    return (
+        np.array_equal(lower.indptr, upper.indptr)
+        and np.array_equal(lower.indices, upper.indices)
+        and np.array_equal(lower.data, sign[upper.indices] * upper.data)
+    )
+
+
+class _Reflected:
+    """The factor of S (D+U) = R (D+L) R, reached through the factor F of D+U.
+
+    Flipping the sign of rows flips only the signs of the incomplete LU, not
+    its dropping, so (S F)^-1 u = F^-1 (S u) and (S F)^-T u = S F^-T u, bit
+    for bit equal to a factor of its own. It holds the factor and the signs
+    only, so nothing refers back to the solver.
+    """
+
+    def __init__(self, factor, sign: np.ndarray):
+        self.factor, self.sign = factor, sign
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        if trans == "N":
+            return self.factor.solve(self.sign * rhs)
+        return self.sign * self.factor.solve(rhs, trans="T")
+
+
 def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
     """Threshold incomplete LU of one block-upper-triangular half, in its own
     order.
@@ -178,10 +217,11 @@ def _sgs(perm, lower, diag, upper, trans="N"):
     """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]], or with
     trans="T" its transpose v -> P^T (D+L)^-T D^T (D+U)^-T P v.
 
-    `lower` factors R (D+L) R, so (D+L)^-1 u = R lower^-1 R u, with the
-    reversal R folded into the gather and scatter through perm[::-1]. A
-    closure over the factors only, so the preconditioner holds no reference
-    back to the solver and a spent solver is freed by refcounting.
+    `lower` factors R (D+L) R, by a factor of its own or as `_Reflected`
+    through `upper`, so (D+L)^-1 u = R lower^-1 R u, with the reversal R
+    folded into the gather and scatter through perm[::-1]. A closure over
+    the factors only, so the preconditioner holds no reference back to the
+    solver and a spent solver is freed by refcounting.
     """
     rperm = perm[::-1].copy()
 
@@ -212,18 +252,22 @@ def _gmres(A, b, precond, tol, restart, cycles):
     Each cycle starts from the true residual r and iterates until the
     preconditioned residual has fallen by the factor that r still needs:
     ||M^-1 r|| * tol * ||b|| / ||r||, which in the first cycle is
-    tol * ||M^-1 b||. M^-1 is applied once per cycle and once per step, so
-    a solve done in one cycle applies it steps + 1 times. The basis is one
-    contiguous (restart + 1, n) array, orthogonalized by classical
-    Gram-Schmidt run twice, and the Givens rotations act on Python floats.
+    tol * ||M^-1 b||. There it forms the iterate and its true residual; when
+    that is still short, it lowers the preconditioned target by the factor
+    the true residual misses by and iterates on in the same basis, so a
+    cycle ends only on the true residual or at its last step. M^-1 is
+    applied once per cycle and once per step, so a solve done in one cycle
+    applies it steps + 1 times. The basis is one contiguous (restart + 1, n)
+    array, orthogonalized by classical Gram-Schmidt run twice, and the
+    Givens rotations act on Python floats.
     """
     v = np.zeros(b.size)
-    r, target = b, tol * float(np.linalg.norm(b))
+    r, r_norm = b, float(np.linalg.norm(b))
+    target = tol * r_norm
     basis = np.empty((restart + 1, b.size))
     hess = np.zeros((restart, restart))
     steps = 0
     for _ in range(cycles):
-        r_norm = float(np.linalg.norm(r))
         if not r_norm > target:  # a NaN stops here too
             break
         z = precond(r)
@@ -250,12 +294,18 @@ def _gmres(A, b, precond, tol, restart, cycles):
             g[j], g_next = c * g[j], -s * g[j]
             g.append(g_next)
             steps += 1
-            if not abs(g_next) > inner_target:
-                break
+            # the last step, or an invariant subspace, ends the cycle
+            last = j + 1 == restart or not h_next > 0.0
+            if last or not abs(g_next) > inner_target:
+                m = j + 1
+                x = v + solve_triangular(hess[:m, :m], g[:m], check_finite=False) @ basis[:m]
+                r = b - A @ x
+                r_norm = float(np.linalg.norm(r))
+                if last or not r_norm > target:
+                    break
+                inner_target = abs(g_next) * target / r_norm
             basis[j + 1] = w / h_next
-        m = len(rotations)
-        v += solve_triangular(hess[:m, :m], g[:m], check_finite=False) @ basis[:m]
-        r = b - A @ v
+        v = x
     return v, steps
 
 
@@ -271,11 +321,16 @@ class ResolventSolver:
 
     The factorization is the dominant cost, so it is built once here and
     reused per solve. P A P^T is formed once in CSC, and D, D+U and D+L are
-    cut from it by the line of each entry's row and column. `lower` and
-    `upper` are the incomplete factors of R (D+L) R and D+U, and `precond`
-    is the symmetric block Gauss-Seidel function built on them. `transpose`
-    returns a solver for M^T on the same factors, which finds the discrete
-    invariant measure w = M^-T e_c of `invariant_weights`.
+    cut from it by the line of each entry's row and column. `upper` is the
+    incomplete factor of D+U and `lower` that of R (D+L) R: when that half
+    is S (D+U) bit for bit (`_mirrors`), `lower` applies `upper` with the
+    signs S (`_Reflected`) and only one incomplete LU is computed; otherwise
+    it is a factor of its own. `factors` lists the computed ones. `precond`
+    is the symmetric block Gauss-Seidel function built on them. `A` stays
+    the natural-order matrix, and `solve` takes and returns natural-order
+    vectors. `transpose` returns a solver for M^T on the same factors,
+    which finds the discrete invariant measure w = M^-T e_c of
+    `invariant_weights`.
     """
 
     def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None):
@@ -287,13 +342,34 @@ class ResolventSolver:
         # the line of each entry's column, less the line of its row
         side = np.repeat(np.arange(self.n, dtype=np.int32) // J, np.diff(Ap.indptr))
         side -= Ap.indices // J
-        # each half is built only for its own factorization, so SuperLU's
-        # workspace never sits on top of both
-        self.lower = _ilu(_cut(Ap, side <= 0, reverse=True), self.cfg)
+        upper_half = _cut(Ap, side >= 0)
+        lower_half = _cut(Ap, side <= 0, reverse=True)
+        # -1 on the Neumann rows, j in {0, J-1} of each line
+        sign = np.ones((self.n // J, J))
+        sign[:, [0, -1]] = -1.0
+        sign = sign.ravel()
+        # a half is dropped once it is factored or found mirrored, so
+        # SuperLU's workspace never sits on top of both
+        if _mirrors(lower_half, upper_half, sign):
+            del lower_half
+            self.upper = _ilu(upper_half, self.cfg)
+            self.lower = _Reflected(self.upper, sign)
+        else:
+            self.lower = _ilu(lower_half, self.cfg)
+            del lower_half
+            self.upper = _ilu(upper_half, self.cfg)
+        del upper_half
         self.diag = _cut(Ap, side == 0).tocsr()
-        self.upper = _ilu(_cut(Ap, side >= 0), self.cfg)
         self.perm = perm
         self._precondition("N")
+
+    @property
+    def factors(self) -> tuple:
+        """The incomplete LUs this solver computed: one when the lower half
+        is reached through the upper one's factor, two otherwise."""
+        if isinstance(self.lower, _Reflected):
+            return (self.upper,)
+        return (self.lower, self.upper)
 
     def _precondition(self, trans: str) -> None:
         self.trans = trans

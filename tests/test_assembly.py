@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from bepo.assembly import (
     assemble_matrix,
     assemble_rhs,
-    export_matrix_coo,
     oracle_assemble,
 )
 from bepo.errors import InvalidSpec
@@ -112,7 +111,7 @@ def test_pattern_envelope_and_diagonals():
     assert sys.rows.max() < sys.n and sys.cols.max() < sys.n
     counts = np.bincount(sys.rows, minlength=sys.n)
     assert counts.max() <= 13
-    diag = sys.diagonal()
+    diag = sys.to_csr().diagonal()
     assert (diag != 0).all()
     eq = eq_row_mask(n, n, n)
     assert (diag[eq] >= 1.0).all()
@@ -128,18 +127,28 @@ def test_triplets_are_the_stored_csr_in_row_major_order():
 
 
 def test_reflection_equivariance_with_neumann_sign():
-    # P M P^T equals M on equation rows and -M on Neumann rows, bit-exact
-    for n, lam in ((5, 0.1), (7, 1e-3)):
-        grid = small_grid(n, lam)
-        sys = assemble_matrix(grid, MODEL, lam)
+    # R M R equals M on equation rows and -M on Neumann rows, bit-exact, with
+    # R the full index reversal, for every model odd under (x, y, z) ->
+    # (-x, -y, -z): a force without a constant term. The solver shares one
+    # incomplete LU between its two sweeps on this identity.
+    odd = ModelParams(alpha=0.9, b=0.5, force=ForceSpec(0.7, 0.2, 0.0))
+    cases = (
+        (GridSpec(lam=0.1, I=5, J=5, K=5), MODEL),
+        (GridSpec(lam=1e-3, I=7, J=7, K=7), MODEL),
+        (GridSpec(lam=1e-2, I=5, J=7, K=9), MODEL),
+        (GridSpec(x_bar=2.0, y_bar=3.0, b=0.5, lam=1e-2, I=5, J=7, K=9), odd),
+    )
+    for spec, model in cases:
+        I, J, K = spec.I, spec.J, spec.K
+        sys = assemble_matrix(build_grid(spec), model, spec.lam)
         M = sys.to_csr()
         M.sort_indices()
-        perm = np.arange(n**3).reshape(n, n, n)[::-1, ::-1, ::-1].ravel()
+        perm = np.arange(I * J * K)[::-1]
         Pm = sp.csr_matrix(
             (np.ones(len(perm)), (np.arange(len(perm)), perm)), shape=M.shape
         )
         refl = (Pm.T @ M @ Pm).tocsr()
-        sign = np.where(eq_row_mask(n, n, n), 1.0, -1.0)
+        sign = np.where(eq_row_mask(I, J, K), 1.0, -1.0)
         refl = (sp.diags(sign) @ refl).tocsr()
         refl.sort_indices()
         assert (refl.indptr == M.indptr).all()
@@ -182,18 +191,6 @@ def test_oracle_equivalence_nonsymmetric_force():
     )
     scale = np.maximum(np.abs(a.vals), np.abs(b.vals))
     assert (np.abs(a.vals - b.vals) <= 4 * np.spacing(scale)).all()
-
-
-def test_matrix_export(tmp_path):
-    grid = small_grid(3, 1.0)
-    sys = assemble_matrix(grid, MODEL, 1.0)
-    path = tmp_path / "matrix.txt"
-    export_matrix_coo(sys, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(sys.vals)
-    r, c, v = lines[0].split()
-    assert int(r) == sys.rows[0] + 1 and int(c) == sys.cols[0] + 1
-    assert float(v) == sys.vals[0]
 
 
 def test_rhs_accepts_tabulated_node_values():

@@ -213,12 +213,16 @@ def test_manifests_record_stage_timings(tmp_path):
         "convergence": run_convergence,
         "cross": run_cross_validate,
     }
+    # one incomplete LU per matrix for the default model; convergence with
+    # one refinement per axis factors 1 + 3 levels
+    factors = {"sweep": 1, "convergence": 4, "cross": 1}
     for name, run in runs.items():
         run(cfg, tmp_path / name)
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
-        assert set(stages) == {"assemble_s", "factor_s", "solve_s", "lower_nnz", "upper_nnz"}
+        assert set(stages) == {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz"}
         assert all(stages[key] > 0 for key in stages)
-        assert isinstance(stages["lower_nnz"], int)
+        assert isinstance(stages["factors"], int) and isinstance(stages["factor_nnz"], int)
+        assert stages["factors"] == factors[name]
 
 
 def test_serviceability_sweep_monotone_mc(tmp_path):

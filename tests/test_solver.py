@@ -10,7 +10,7 @@ import bepo.solver as solver_module
 from bepo.assembly import assemble_matrix, assemble_rhs, assemble_system
 from bepo.errors import NoConvergence, NonFiniteState
 from bepo.grid import GridSpec, build_grid
-from bepo.model import ModelParams
+from bepo.model import ForceSpec, ModelParams
 from bepo.observables import constant_observable, mollified_crossing_speed, plastic_band
 from bepo.solver import (
     ResolventSolver,
@@ -374,3 +374,100 @@ def test_factors_without_warning_and_solves(shape, sigma):
         b = assemble_rhs(grid, plastic_band(3.0 / 8.0), 1e-2)
         rep = solver.solve(b)
     assert rep.residual <= solver.cfg.rel_tol * np.linalg.norm(b)
+
+
+def _two_factor_sgs(matrix, cfg, trans):
+    """The preconditioner with a factor of its own for each half."""
+    J = matrix.shape[1]
+    perm, Ap = solver_module._yline_order(matrix.to_csr(), matrix.shape)
+    # CSC: the line of each entry's column, less the line of its row
+    side = np.repeat(np.arange(matrix.n) // J, np.diff(Ap.indptr)) - Ap.indices // J
+    lower = solver_module._ilu(solver_module._cut(Ap, side <= 0, reverse=True), cfg)
+    upper = solver_module._ilu(solver_module._cut(Ap, side >= 0), cfg)
+    diag = solver_module._cut(Ap, side == 0).tocsr()
+    return solver_module._sgs(perm, lower, diag, upper, trans)
+
+
+@pytest.mark.parametrize("drop_tol", [1e-3, 0.0])
+@pytest.mark.parametrize("shape", [(5, 7, 9), (9, 9, 9), (17, 9, 13)], ids=str)
+def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol):
+    """The lower sweep through the factor of D+U, with the Neumann signs,
+    applies bit for bit what a factor of R (D+L) R applies, forward and
+    transposed."""
+    _, matrix = _band_system(*shape)
+    cfg = SolverConfig(drop_tol=drop_tol)
+    solver = ResolventSolver(matrix, cfg)
+    assert len(solver.factors) == 1
+    r = np.random.default_rng(3).standard_normal(matrix.n)
+    assert np.array_equal(solver.precond(r), _two_factor_sgs(matrix, cfg, "N")(r))
+    adjoint = solver.transpose()
+    assert np.array_equal(adjoint.precond(r), _two_factor_sgs(matrix, cfg, "T")(r))
+
+
+@pytest.mark.parametrize(
+    "model, factored",
+    [
+        (ModelParams(), 1),
+        (ModelParams(force=ForceSpec(c0=0.7)), 1),
+        (ModelParams(force=ForceSpec(c1=0.2)), 1),
+        (ModelParams(alpha=0.9, b=0.5), 1),
+        (ModelParams(force=ForceSpec(const=0.3)), 2),
+    ],
+    ids=["default", "c0", "c1", "alpha-b", "const"],
+)
+def test_one_incomplete_lu_unless_the_force_has_an_offset(model, factored, monkeypatch):
+    """A model odd under the point reflection factors D+U only; a constant
+    force term breaks the mirror and both halves are factored. transpose()
+    factors nothing."""
+    grid = build_grid(GridSpec(b=model.b, lam=1e-2, I=9, J=9, K=9))
+    matrix = assemble_matrix(grid, model, 1e-2)
+    calls = []
+    real_ilu = solver_module._ilu
+
+    def counted(half, cfg):
+        calls.append(half.shape)
+        return real_ilu(half, cfg)
+
+    monkeypatch.setattr(solver_module, "_ilu", counted)
+    solver = ResolventSolver(matrix)
+    assert len(calls) == len(solver.factors) == factored
+    solver.transpose().transpose()
+    assert len(calls) == factored
+
+
+def test_force_offset_solves_with_two_factors():
+    """With force.const != 0 the halves are not mirrored; forward and
+    adjoint solves still meet rel_tol and agree with a dense solve."""
+    model = ModelParams(force=ForceSpec(const=0.3))
+    grid = build_grid(GridSpec(lam=1e-2, I=9, J=9, K=9))
+    solver = ResolventSolver(assemble_matrix(grid, model, 1e-2))
+    assert len(solver.factors) == 2
+    b = assemble_rhs(grid, mollified_crossing_speed(0.5, 1.0), 1e-2)
+    rel_tol = solver.cfg.rel_tol
+    for s in (solver, solver.transpose()):
+        dense = s.A.toarray()
+        exact = np.linalg.solve(dense, b)
+        rep = s.solve(b)
+        assert rep.residual <= rel_tol * np.linalg.norm(b)
+        bound = np.linalg.cond(dense) * rel_tol * np.linalg.norm(exact)
+        assert np.linalg.norm(rep.v - exact) <= bound
+
+
+def test_forward_band_solve_keeps_its_basis_until_the_true_residual_is_met():
+    """On 33x21x13 the preconditioned stop comes before the true residual
+    meets rel_tol; GMRES lowers its target and iterates on in the same
+    basis instead of restarting, so M^-1 goes once to b and once per step."""
+    grid, matrix = _band_system(33, 21, 13)
+    solver = ResolventSolver(matrix)
+    applied = []
+    precond = solver.precond
+
+    def counted(r):
+        applied.append(r)
+        return precond(r)
+
+    solver.precond = counted
+    b = assemble_rhs(grid, plastic_band(3.0 / 8.0), 1e-2)
+    rep = solver.solve(b)
+    assert rep.residual <= solver.cfg.rel_tol * np.linalg.norm(b)
+    assert len(applied) == rep.iterations + 1
