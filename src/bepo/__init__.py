@@ -5,7 +5,7 @@ Monte Carlo simulation of the projected dynamics."""
 __version__ = "0.1.0"
 
 from .model import ForceSpec, LyapunovReport, ModelParams, drift_beta
-from .grid import Grid, GridSpec, NodeClass, build_grid, classify_node, index_of
+from .grid import Grid, GridSpec, build_grid
 from .observables import (
     Observable,
     constant_observable,

@@ -34,7 +34,6 @@ __all__ = [
     "SparseSystem",
     "assemble_matrix",
     "assemble_rhs",
-    "assemble_system",
     "oracle_assemble",
 ]
 
@@ -91,8 +90,8 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     printed, not by splitting loops into bands. Every entry (di, dj, dk) of
     the stencil is added into the full-length band of its linear offset
     (di*J + dj)*K + dk, and one DIA-to-CSR conversion builds the matrix.
-    Returns a SparseSystem with a zero rhs; use assemble_rhs/assemble_system
-    to fill it.
+    Returns a SparseSystem with a zero rhs; assemble_rhs builds the
+    right-hand side.
     """
     s = grid.spec
     if lam != s.lam:
@@ -276,13 +275,6 @@ def assemble_rhs(grid: Grid, g, lam: float) -> np.ndarray:
         vals = vals.reshape(s.I, s.J, s.K).copy()
     vals[(jv == 0) | (jv == s.J - 1)] = 0.0
     return vals.ravel()
-
-
-def assemble_system(grid: Grid, p: ModelParams, g: Observable, lam: float) -> SparseSystem:
-    """Matrix and right-hand side together."""
-    sys = assemble_matrix(grid, p, lam)
-    sys.rhs = assemble_rhs(grid, g, lam)
-    return sys
 
 
 # --- independent oracle -----------------------------------------------------

@@ -12,7 +12,6 @@ directory from which it can be reproduced.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -48,9 +47,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     text = args.config.read_text() if args.config else ""
     try:
-        cfg = parse_config(text, experiment=args.experiment)
-        if args.seed is not None:
-            cfg.sim = dataclasses.replace(cfg.sim, seed=args.seed)
+        cfg = parse_config(text, experiment=args.experiment, seed=args.seed)
 
         if args.experiment == "solve":
             row = run_solve(cfg, args.out)

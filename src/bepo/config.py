@@ -67,6 +67,28 @@ class RunConfig:
             raise ValueError(f"observable.a2 must be >= 0, got {self.a2}")
         if self.eps0 is not None and not 0 < self.eps0 < math.inf:
             raise ValueError(f"observable.eps0 must be finite and > 0, got {self.eps0}")
+        named = [("observable.a1", self.a1), ("observable.c", self.g_const)]
+        for key, value in named + [("sweep.values", v) for v in self.sweep]:
+            if not math.isfinite(value):
+                raise ValueError(f"{key} holds a non-finite value, {value}")
+        if self.n_refinements < 0:
+            raise ValueError(
+                f"convergence.n_refinements must be >= 0, got {self.n_refinements}"
+            )
+        if self.record_stride < 0:
+            raise ValueError(f"output.record_stride must be >= 0, got {self.record_stride}")
+        # a crossing rate divides by the time between the first and the last
+        # observed sample, as crossing_frequency_mc does
+        observed = self.sim.n_steps - self.sim.effective_burn_in
+        counts_crossings = self.experiment == "cross-validate" or (
+            self.experiment == "crossing-sweep" and self.mc_enabled
+        )
+        if counts_crossings and observed < 2:
+            raise ValueError(
+                f"{self.experiment} counts Monte Carlo crossings over "
+                f"sim.n_steps - burn_in = {observed} observed samples; a "
+                "crossing rate needs at least 2"
+            )
 
     def resolved_eps0(self) -> float:
         return self.grid.x_bar / 64.0 if self.eps0 is None else self.eps0
@@ -150,12 +172,14 @@ def _parse_value(key: str, raw: str, lineno: int):
         raise ParseError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
 
 
-def parse_config(text: str, experiment: str | None = None) -> RunConfig:
+def parse_config(
+    text: str, experiment: str | None = None, seed: int | None = None
+) -> RunConfig:
     """Parse a config document into a RunConfig with all defaults filled.
 
-    `experiment`, when given, replaces the document's `experiment` key (the
-    CLI passes its positional argument), so the checks that depend on the
-    experiment see the one that will run.
+    `experiment` and `seed`, when given, replace the document's `experiment`
+    and `sim.seed` keys (the CLI passes its positional argument and
+    `--seed`), so the checks see the values that will run.
 
     Raises ParseError with the offending line for syntax problems and
     ValidationError citing the violated invariant for bad values.
@@ -188,6 +212,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         if "lambda" in grid_keys:
             grid_keys["lam"] = grid_keys.pop("lambda")
         sim_keys = section("sim")
+        if seed is not None:
+            sim_keys["seed"] = seed
         init = OscState(
             **{axis: sim_keys.pop("init_" + axis, 0.0) for axis in ("x", "y", "z")}
         )

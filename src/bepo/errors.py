@@ -29,10 +29,6 @@ class InvalidSpec(BepoError):
     """Grid specification violates its invariants."""
 
 
-class OutOfRange(BepoError):
-    """Node index outside the grid."""
-
-
 class NoConvergence(BepoError):
     """Krylov iteration exhausted max_iters above the residual target."""
 

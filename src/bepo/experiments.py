@@ -35,20 +35,17 @@ from .sde import (
 )
 from .solver import (
     ResolventSolver,
-    SolveReport,
     evaluate_statistic,
     invariant_weights,
     magnitude_violations,
     require_finite,
     rice_rate,
     solution_to_csv,
-    solve_resolvent,
     summary_to_json,
     weight_diagnostics,
 )
 
 __all__ = [
-    "pde_statistic",
     "run_solve",
     "run_simulate",
     "run_crossing_sweep",
@@ -59,30 +56,65 @@ __all__ = [
 ]
 
 
-def observable_from_config(cfg: RunConfig, a1=None, a2=None) -> Observable:
-    if cfg.observable == "crossing":
+def observable_from_config(cfg: RunConfig, kind=None, level=None) -> Observable:
+    """The configured observable, or the `kind` one ("crossing" or "band")
+    at the crossing level or band radius `level`."""
+    kind = cfg.observable if kind is None else kind
+    if kind == "crossing":
         return mollified_crossing_speed(
-            cfg.a1 if a1 is None else a1, cfg.resolved_eps0()
+            cfg.a1 if level is None else level, cfg.resolved_eps0()
         )
-    if cfg.observable == "band":
-        return plastic_band(cfg.a2 if a2 is None else a2)
+    if kind == "band":
+        return plastic_band(cfg.a2 if level is None else level)
     return constant_observable(cfg.g_const)
 
 
-def pde_statistic(cfg: RunConfig, g: Observable, matrix=None, grid=None) -> SolveReport:
-    """Assemble (or reuse a prebuilt matrix) and solve for one observable."""
-    if grid is None:
-        grid = build_grid(cfg.grid)
-    if g.kind == "crossing":
-        check_resolution(g.params["eps0"], 2.0 * cfg.grid.x_bar / (cfg.grid.I - 1))
-    sys = matrix if matrix is not None else assemble_matrix(grid, cfg.model, cfg.grid.lam)
-    sys.rhs = assemble_rhs(grid, g, cfg.grid.lam)
-    report = solve_resolvent(sys, cfg.solver)
-    report.statistic, report.spread = evaluate_statistic(report.v, grid)
-    report.bound_violations = magnitude_violations(
-        report.v, grid, g.sup_norm(cfg.grid.x_bar, cfg.grid.y_bar, cfg.model.b)
-    )
-    return report
+def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool):
+    """The factor-and-solve path of every PDE experiment.
+
+    Builds the grid of `spec` and checks each crossing observable against
+    it: a mollifier narrower than two cells and a level outside the box
+    warn. Then it assembles and factors the matrix, builds the right-hand
+    sides and checks them for non-finite entries, and makes one solve. With
+    `adjoint` that solve is on the transpose, for the weights w of
+    `invariant_weights` (stat(g) = w @ g for every observable); otherwise it
+    is the forward solve for the field v of the one observable. Returns the
+    report, the grid, the right-hand sides and the manifest's `stages`
+    record: seconds of assembly (matrix and right-hand sides), of the
+    y-line split and the incomplete LUs, and of the Krylov solve, plus the
+    number of incomplete LUs computed (1 when the two sweeps share one) and
+    their stored nonzeros, a shared factor counted once.
+    """
+    grid = build_grid(spec)
+    crossing = [g.params for g in observables if g.kind == "crossing"]
+    for eps0 in {params["eps0"] for params in crossing}:
+        check_resolution(eps0, 2.0 * spec.x_bar / (spec.I - 1))
+    for params in crossing:
+        if abs(params["a1"]) > spec.x_bar:
+            warnings.warn(
+                f"crossing level a1={params['a1']:g} lies outside the truncation "
+                f"box (x_bar={spec.x_bar:g}); the statistic will be near zero"
+            )
+    start = time.perf_counter()
+    matrix = assemble_matrix(grid, cfg.model, spec.lam)
+    assembled = time.perf_counter()
+    solver = ResolventSolver(matrix, cfg.solver)
+    factored = time.perf_counter()
+    # the right-hand sides come after the factorization, whose freed
+    # workspace they reuse; built before it, they raise the peak RSS
+    rhs = [assemble_rhs(grid, g, spec.lam) for g in observables]
+    for b in rhs:
+        require_finite(b)
+    ready = time.perf_counter()
+    report = invariant_weights(solver, grid) if adjoint else solver.solve(rhs[0])
+    stages = {
+        "assemble_s": (assembled - start) + (ready - factored),
+        "factor_s": factored - assembled,
+        "solve_s": time.perf_counter() - ready,
+        "factors": len(solver.factors),
+        "factor_nnz": sum(factor.nnz for factor in solver.factors),
+    }
+    return report, grid, rhs, stages
 
 
 def _strict(value):
@@ -108,7 +140,7 @@ def write_manifest(
 
     `weights` holds the weight diagnostics of runs that solve for the
     discrete invariant measure, and `stages` the stage record of runs that
-    factor and solve (`_stages`).
+    factor and solve (`_factor_and_solve`).
     """
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -126,15 +158,19 @@ def write_manifest(
 
 
 def run_solve(cfg: RunConfig, out: Path) -> dict:
-    """One assemble+solve; writes solution.csv and summary.json."""
+    """One forward solve; writes solution.csv and summary.json."""
     t0 = time.perf_counter()
-    grid = build_grid(cfg.grid)
-    report = pde_statistic(cfg, observable_from_config(cfg), grid=grid)
+    g = observable_from_config(cfg)
+    report, grid, _, stages = _factor_and_solve(cfg, cfg.grid, [g], adjoint=False)
+    report.statistic, report.spread = evaluate_statistic(report.v, grid)
+    report.bound_violations = magnitude_violations(
+        report.v, grid, g.sup_norm(cfg.grid.x_bar, cfg.grid.y_bar, cfg.model.b)
+    )
     out.mkdir(parents=True, exist_ok=True)
     solution_to_csv(report.v, grid, out / "solution.csv")
     summary_to_json(report, out / "summary.json")
     row = report.summary()
-    write_manifest(out, cfg, [row], time.perf_counter() - t0)
+    write_manifest(out, cfg, [row], time.perf_counter() - t0, stages=stages)
     return row
 
 
@@ -174,44 +210,17 @@ def run_simulate(cfg: RunConfig, out: Path) -> dict:
     return row
 
 
-def _mc_levels(cfg: RunConfig, levels, kind: str):
-    """One shared Monte Carlo run serving every sweep level."""
+def _monte_carlo(cfg: RunConfig, a1_levels, a2_levels):
+    """(value, se) of every crossing level, then of every band radius, from
+    one shared Monte Carlo run."""
     sim = cfg.sim
-    if kind == "crossing":
-        obs = CrossingObserver(levels, sim.dt, sim.n_paths)
-    else:
-        obs = BandObserver(levels, sim.n_paths)
-    simulate_paths(sim, cfg.model, [obs])
-    if kind == "crossing":
-        return [obs.frequency(i) for i in range(len(levels))]
-    return [obs.probability(i) for i in range(len(levels))]
-
-
-def _level_observable(cfg: RunConfig, level: float, kind: str) -> Observable:
-    """The crossing or band observable of one sweep level."""
-    if kind == "band":
-        return plastic_band(level)
-    if abs(level) > cfg.grid.x_bar:
-        warnings.warn(
-            f"crossing level a1={level:g} lies outside the truncation box "
-            f"(x_bar={cfg.grid.x_bar:g}); the statistic will be near zero"
-        )
-    return mollified_crossing_speed(level, cfg.resolved_eps0())
-
-
-def _stages(assemble_s: float, factor_s: float, solve_s: float, solver) -> dict:
-    """The manifest's `stages` record of one factor-and-solve: seconds of
-    assembly (matrix and right-hand sides), of the y-line split and the
-    incomplete LUs, and of the Krylov solves, plus the number of incomplete
-    LUs computed (1 when the two sweeps share one) and their stored
-    nonzeros, a shared factor counted once."""
-    return {
-        "assemble_s": assemble_s,
-        "factor_s": factor_s,
-        "solve_s": solve_s,
-        "factors": len(solver.factors),
-        "factor_nnz": sum(factor.nnz for factor in solver.factors),
-    }
+    crossing = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
+    band = BandObserver(a2_levels, sim.n_paths)
+    observers = [obs for obs, levels in ((crossing, a1_levels), (band, a2_levels)) if levels]
+    simulate_paths(sim, cfg.model, observers)
+    return [crossing.frequency(i) for i in range(len(a1_levels))] + [
+        band.probability(i) for i in range(len(a2_levels))
+    ]
 
 
 def _pde_sweep(cfg: RunConfig, observables):
@@ -219,31 +228,10 @@ def _pde_sweep(cfg: RunConfig, observables):
 
     All observables share the grid and matrix, so the matrix is assembled
     and factored once, and one solve on its transpose gives the weights w
-    with stat(g) = w @ g (`invariant_weights`). Every right-hand side is
-    checked for non-finite entries before the solve. Returns the
-    statistics, the report of the adjoint solve (w is its v), the grid and
-    the stage record.
+    with stat(g) = w @ g. Returns the statistics, the report of the adjoint
+    solve (w is its v), the grid and the stage record.
     """
-    grid = build_grid(cfg.grid)
-    lam = cfg.grid.lam
-    start = time.perf_counter()
-    matrix = assemble_matrix(grid, cfg.model, lam)
-    assembled = time.perf_counter()
-    solver = ResolventSolver(matrix, cfg.solver)
-    factored = time.perf_counter()
-    # the right-hand sides come after the factorization, whose freed
-    # workspace they reuse; built before it, they raise the peak RSS
-    rhs = [assemble_rhs(grid, g, lam) for g in observables]
-    for b in rhs:
-        require_finite(b)
-    ready = time.perf_counter()
-    adjoint = invariant_weights(solver, grid)
-    stages = _stages(
-        (assembled - start) + (ready - factored),
-        factored - assembled,
-        time.perf_counter() - ready,
-        solver,
-    )
+    adjoint, grid, rhs, stages = _factor_and_solve(cfg, cfg.grid, observables, adjoint=True)
     return [float(adjoint.v @ b) for b in rhs], adjoint, grid, stages
 
 
@@ -251,9 +239,11 @@ def _sweep_common(cfg: RunConfig, out: Path, kind: str):
     t0 = time.perf_counter()
     levels = list(cfg.sweep)
     stats, adjoint, grid, stages = _pde_sweep(
-        cfg, [_level_observable(cfg, lv, kind) for lv in levels]
+        cfg, [observable_from_config(cfg, kind, lv) for lv in levels]
     )
-    mc = _mc_levels(cfg, levels, kind) if cfg.mc_enabled else [(float("nan"), float("nan"))] * len(levels)
+    mc = [(math.nan, math.nan)] * len(levels)
+    if cfg.mc_enabled:
+        mc = _monte_carlo(cfg, *((levels, []) if kind == "crossing" else ([], levels)))
 
     rows = []
     for level, stat, (mv, mse) in zip(levels, stats, mc):
@@ -320,16 +310,8 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
     rows = []
 
     def solve_on(spec: GridSpec):
-        grid = build_grid(spec)
-        start = time.perf_counter()
-        matrix = assemble_matrix(grid, cfg.model, spec.lam)
-        b = assemble_rhs(grid, g, spec.lam)
-        assembled = time.perf_counter()
-        solver = ResolventSolver(matrix, cfg.solver)
-        factored = time.perf_counter()
-        report = solver.solve(b)
-        solve_s = time.perf_counter() - factored
-        return report, _stages(assembled - start, factored - assembled, solve_s, solver)
+        report, _, _, stages = _factor_and_solve(cfg, spec, [g], adjoint=False)
+        return report, stages
 
     base, base_stages = solve_on(cfg.grid)
     level_stages = [base_stages]
@@ -395,15 +377,11 @@ def run_cross_validate(cfg: RunConfig, out: Path):
 
     stats, adjoint, grid, stages = _pde_sweep(
         cfg,
-        [_level_observable(cfg, lv, "crossing") for lv in a1_levels]
-        + [_level_observable(cfg, lv, "band") for lv in a2_levels],
+        [observable_from_config(cfg, "crossing", lv) for lv in a1_levels]
+        + [observable_from_config(cfg, "band", lv) for lv in a2_levels],
     )
-    sim = cfg.sim
-    cobs = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
-    bobs = BandObserver(a2_levels, sim.n_paths)
-    simulate_paths(sim, cfg.model, [cobs, bobs])
-    crossing_mc = [cobs.frequency(i) for i in range(len(a1_levels))]
-    mc = crossing_mc + [bobs.probability(i) for i in range(len(a2_levels))]
+    mc = _monte_carlo(cfg, a1_levels, a2_levels)
+    crossing_mc = mc[: len(a1_levels)]
     kinds = ["crossing"] * len(a1_levels) + ["band"] * len(a2_levels)
 
     def compare(kind, level, pde, mv, mse):

@@ -1,51 +1,24 @@
-"""Scaled, truncated 3D finite-difference grid and node classification.
+"""Scaled, truncated 3D finite-difference grid.
 
 The working coordinates are the scaled ones, (xt, yt, zt) = lam*(x, y, z),
 so the box is [-lam*x_bar, lam*x_bar] x [-lam*y_bar, lam*y_bar] x
 [-lam*b, lam*b] and all spacings are O(lam). Unscaled coordinates are
 recovered by dividing by lam.
 
-Node indices (i, j, k) are 1-based, matching the linear index map
-l(i,j,k) = k + (j-1)*K + (i-1)*J*K; storage offsets are 0-based and hidden
-behind the index helpers.
+Node indices (i, j, k) are 1-based; node (i, j, k) is entry
+(k-1) + (j-1)*K + (i-1)*J*K of a field vector, k fastest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpec, OutOfRange
+from .errors import InvalidSpec
 
-__all__ = [
-    "GridSpec",
-    "Grid",
-    "NodeClass",
-    "build_grid",
-    "index_of",
-    "invert_index",
-    "classify_node",
-]
-
-
-class NodeClass(Enum):
-    """The eight label subsets partitioning the grid.
-
-    NEUMANN_Y owns every node with j in {1, J} regardless of i, k; the other
-    classes partition the equation rows 2 <= j <= J-1.
-    """
-
-    INTERIOR = "interior"
-    FACE_Z_MINUS = "face_z_minus"
-    FACE_Z_PLUS = "face_z_plus"
-    FACE_X_MINUS = "face_x_minus"
-    FACE_X_PLUS = "face_x_plus"
-    EDGE_X_MINUS = "edge_x_minus"
-    EDGE_X_PLUS = "edge_x_plus"
-    NEUMANN_Y = "neumann_y"
+__all__ = ["GridSpec", "Grid", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -136,47 +109,3 @@ def build_grid(spec: GridSpec) -> Grid:
         zt=_axis(spec.K, spec.dz),
     )
 
-
-def index_of(i: int, j: int, k: int, J: int, K: int, I: int | None = None) -> int:
-    """1-based linear index k + (j-1)*K + (i-1)*J*K.
-
-    Bijective from {1..I} x {1..J} x {1..K} onto [1, I*J*K]. When I is given,
-    i is range-checked as well.
-    """
-    if I is not None and not 1 <= i <= I:
-        raise OutOfRange(f"i={i} outside [1, {I}]")
-    if i < 1 or not 1 <= j <= J or not 1 <= k <= K:
-        raise OutOfRange(f"(i,j,k)=({i},{j},{k}) outside the grid")
-    return k + (j - 1) * K + (i - 1) * J * K
-
-
-def invert_index(l: int, J: int, K: int) -> tuple[int, int, int]:
-    """Inverse of index_of: 1-based (i, j, k) from the linear index."""
-    if l < 1:
-        raise OutOfRange(f"linear index {l} < 1")
-    l0 = l - 1
-    k = l0 % K
-    j = (l0 // K) % J
-    i = l0 // (J * K)
-    return (i + 1, j + 1, k + 1)
-
-
-def classify_node(i: int, j: int, k: int, I: int, J: int, K: int) -> NodeClass:
-    """Assign the unique label subset of a node.
-
-    The j in {1, J} sheets are claimed first (Neumann rows); the remaining
-    classes split on the i and k faces.
-    """
-    if not (1 <= i <= I and 1 <= j <= J and 1 <= k <= K):
-        raise OutOfRange(f"(i,j,k)=({i},{j},{k}) outside [1,{I}]x[1,{J}]x[1,{K}]")
-    if j == 1 or j == J:
-        return NodeClass.NEUMANN_Y
-    if i == 1:
-        return NodeClass.EDGE_X_MINUS if k in (1, K) else NodeClass.FACE_X_MINUS
-    if i == I:
-        return NodeClass.EDGE_X_PLUS if k in (1, K) else NodeClass.FACE_X_PLUS
-    if k == 1:
-        return NodeClass.FACE_Z_MINUS
-    if k == K:
-        return NodeClass.FACE_Z_PLUS
-    return NodeClass.INTERIOR

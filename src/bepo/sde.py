@@ -105,6 +105,8 @@ class SimConfig:
             raise ValueError(f"init must be finite, got {init}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.effective_burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
 
@@ -327,8 +329,7 @@ def simulate_trajectory(
     if cfg.n_paths != 1:
         cfg = dataclasses.replace(cfg, n_paths=1)
     phase_obs = PhaseEventObserver(p.b, cfg.dt)
-    counter = MeanObserver(lambda x, y, z: np.ones_like(x))
-    obs = list(observers) + [phase_obs, counter]
+    obs = list(observers) + [phase_obs]
     box_obs = None
     if box is not None:
         box_obs = _BoxObserver(*box)
@@ -338,7 +339,7 @@ def simulate_trajectory(
     final = OscState(float(x[0]), float(y[0]), zf, _phase_of(zf, p.b))
     return TrajectoryStats(
         final=final,
-        n_observed=int(counter.count),
+        n_observed=cfg.n_steps - cfg.effective_burn_in,
         events=phase_obs.events,
         outside_box_fraction=None if box_obs is None else box_obs.fraction,
     )
@@ -530,13 +531,11 @@ class MeanObserver:
         self.g = g
         self.total = 0.0
         self.count = 0
-        self.block_means = []
 
     def update(self, t0, xs, ys, zs):
         vals = np.asarray(self.g(xs, ys, zs), dtype=np.float64)
         self.total += float(vals.sum())
         self.count += vals.size
-        self.block_means.append(float(vals.mean()))
 
     @property
     def mean(self):

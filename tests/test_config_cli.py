@@ -81,6 +81,15 @@ SOLVE_PROBES = [
         "force.c1 = inf",
         "force.const = nan",
         "observable.a2 = nan",
+        "observable.a1 = nan",
+        "observable.c = inf",
+        "sweep.values = 0.5, nan",
+        "convergence.n_refinements = -1",
+        "output.record_stride = -5",
+        "sim.seed = -1",
+        # a crossing rate from fewer than two observed samples
+        "experiment = cross-validate\nsim.n_steps = 100\nsim.burn_in = 99",
+        "experiment = crossing-sweep\nsweep.values = 0\nsim.n_steps = 2\nsim.burn_in = 1",
         *SOLVE_PROBES,
     ],
 )
@@ -98,6 +107,41 @@ def test_cli_rejects_bad_solve_settings_before_factoring(tmp_path, capsys, monke
     config = tmp_path / "run.cfg"
     config.write_text(f"grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n{line}\n")
     rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_monte_carlo_off_needs_no_observed_samples():
+    cfg = parse_config(
+        "experiment = crossing-sweep\nsweep.values = 0\nmc.enabled = false\n"
+        "sim.n_steps = 2\nsim.burn_in = 1\n"
+    )
+    assert cfg.sim.n_steps - cfg.sim.effective_burn_in == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, text, extra",
+    [
+        ("simulate", "", ["--seed", "-5"]),
+        ("convergence", "convergence.n_refinements = -1\n", []),
+        ("crossing-sweep", "sweep.values = 0\nsim.n_steps = 100\nsim.burn_in = 99\n", []),
+        ("cross-validate", "sim.n_steps = 100\nsim.burn_in = 99\n", []),
+    ],
+    ids=["negative-seed", "negative-refinements", "one-sample-sweep", "one-sample-cross"],
+)
+def test_cli_rejects_bad_run_settings_before_any_work(
+    tmp_path, capsys, monkeypatch, experiment, text, extra
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started on a rejected setting")
+
+    monkeypatch.setattr(spla, "spilu", never)
+    monkeypatch.setattr(experiments, "simulate_paths", never)
+    monkeypatch.setattr(experiments, "simulate_trajectory", never)
+    config = tmp_path / "run.cfg"
+    config.write_text("grid.I = 9\ngrid.J = 9\ngrid.K = 9\n" + text)
+    rc = main([experiment, "--config", str(config), "--out", str(tmp_path / "o"), *extra])
     assert rc == 1
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -204,18 +248,19 @@ def test_manifest_is_strict_json_and_reproduces_without_monte_carlo(tmp_path):
 
 
 def test_manifests_record_stage_timings(tmp_path):
-    from bepo.experiments import run_convergence, run_cross_validate
+    from bepo.experiments import run_convergence, run_cross_validate, run_solve
 
     cfg = quick_config("observable.eps0 = 1.0\nsweep.values = 0.5\n")
     cfg.n_refinements = 1
     runs = {
+        "solve": run_solve,
         "sweep": run_crossing_sweep,
         "convergence": run_convergence,
         "cross": run_cross_validate,
     }
     # one incomplete LU per matrix for the default model; convergence with
     # one refinement per axis factors 1 + 3 levels
-    factors = {"sweep": 1, "convergence": 4, "cross": 1}
+    factors = {"solve": 1, "sweep": 1, "convergence": 4, "cross": 1}
     for name, run in runs.items():
         run(cfg, tmp_path / name)
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
@@ -267,6 +312,9 @@ def test_cli_simulate_trajectory_dump(tmp_path):
     assert len(lines) > 100
     first = lines[1].split(",")
     assert len(first) == 5 and first[4] in ("elastic", "plastic+", "plastic-")
+    # 5000 steps less the default burn-in of 1%, every 10th one written
+    assert json.loads((out / "manifest.json").read_text())["rows"][0]["n_observed"] == 4950
+    assert len(lines) == 1 + 495
 
 
 def test_cli_error_path(tmp_path, capsys):
@@ -349,6 +397,40 @@ def test_sweep_level_outside_box_warns(tmp_path):
     with pytest.warns(UserWarning, match="outside the truncation box"):
         rows = run_crossing_sweep(cfg, tmp_path)
     assert abs(rows[0]["pde"]) < 1e-6
+
+
+def _run(experiment):
+    from bepo.experiments import run_convergence, run_cross_validate, run_solve
+
+    return {
+        "solve": run_solve,
+        "crossing-sweep": run_crossing_sweep,
+        "cross-validate": run_cross_validate,
+        "convergence": run_convergence,
+    }[experiment]
+
+
+@pytest.mark.parametrize(
+    "experiment", ["solve", "crossing-sweep", "cross-validate", "convergence"]
+)
+def test_every_pde_experiment_warns_on_an_under_resolved_mollifier(tmp_path, experiment):
+    # 2 dx = 1.75 on the 9-node x axis of [-3.5, 3.5]
+    cfg = quick_config(
+        f"experiment = {experiment}\nobservable.eps0 = 0.2\nsweep.values = 0.5\n"
+        "mc.enabled = false\nconvergence.n_refinements = 1\n"
+    )
+    with pytest.warns(UserWarning, match="under-resolved"):
+        _run(experiment)(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("experiment", ["solve", "crossing-sweep", "cross-validate"])
+def test_every_pde_experiment_warns_on_a_level_outside_the_box(tmp_path, experiment):
+    cfg = quick_config(
+        f"experiment = {experiment}\nobservable.eps0 = 1.0\nobservable.a1 = 5\n"
+        "sweep.values = 5\nmc.enabled = false\n"
+    )
+    with pytest.warns(UserWarning, match="outside the truncation box"):
+        _run(experiment)(cfg, tmp_path)
 
 
 def test_manifest_rows_record_solver_iterations(tmp_path):

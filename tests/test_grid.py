@@ -1,17 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from bepo.errors import InvalidSpec, OutOfRange
-from bepo.grid import (
-    GridSpec,
-    NodeClass,
-    build_grid,
-    classify_node,
-    index_of,
-    invert_index,
-)
+from bepo.errors import InvalidSpec
+from bepo.grid import GridSpec, build_grid
 
 
 def test_small_symmetric_grid():
@@ -44,62 +35,6 @@ def test_invalid_specs():
         GridSpec(J=1)
     with pytest.raises(InvalidSpec):
         GridSpec(lam=0.0)
-
-
-def test_index_of_values():
-    assert index_of(1, 1, 1, J=5, K=5) == 1
-    assert index_of(2, 1, 1, J=5, K=5) == 26
-    assert index_of(5, 5, 5, J=5, K=5) == 125
-
-
-def test_index_of_bijection_and_inverse():
-    I = J = K = 5
-    seen = set()
-    for i, j, k in itertools.product(range(1, I + 1), range(1, J + 1), range(1, K + 1)):
-        l = index_of(i, j, k, J=J, K=K, I=I)
-        assert 1 <= l <= I * J * K
-        assert l not in seen
-        seen.add(l)
-        assert invert_index(l, J=J, K=K) == (i, j, k)
-    assert len(seen) == I * J * K
-
-
-def test_index_of_range_errors():
-    with pytest.raises(OutOfRange):
-        index_of(0, 1, 1, J=5, K=5)
-    with pytest.raises(OutOfRange):
-        index_of(1, 6, 1, J=5, K=5)
-    with pytest.raises(OutOfRange):
-        index_of(6, 1, 1, J=5, K=5, I=5)
-
-
-def test_classification_examples():
-    assert classify_node(3, 3, 3, 5, 5, 5) is NodeClass.INTERIOR
-    assert classify_node(2, 1, 4, 5, 5, 5) is NodeClass.NEUMANN_Y
-    assert classify_node(1, 3, 5, 5, 5, 5) is NodeClass.EDGE_X_MINUS
-
-
-def test_classification_partition_and_cardinalities():
-    for I, J, K in ((3, 3, 3), (5, 5, 5), (5, 7, 3), (7, 5, 9)):
-        counts = {c: 0 for c in NodeClass}
-        for i, j, k in itertools.product(
-            range(1, I + 1), range(1, J + 1), range(1, K + 1)
-        ):
-            counts[classify_node(i, j, k, I, J, K)] += 1
-        assert sum(counts.values()) == I * J * K
-        assert counts[NodeClass.INTERIOR] == (I - 2) * (J - 2) * (K - 2)
-        assert counts[NodeClass.NEUMANN_Y] == 2 * I * K
-        assert counts[NodeClass.FACE_Z_MINUS] == (I - 2) * (J - 2)
-        assert counts[NodeClass.FACE_Z_PLUS] == (I - 2) * (J - 2)
-        assert counts[NodeClass.FACE_X_MINUS] == (J - 2) * (K - 2)
-        assert counts[NodeClass.FACE_X_PLUS] == (J - 2) * (K - 2)
-        assert counts[NodeClass.EDGE_X_MINUS] == 2 * (J - 2)
-        assert counts[NodeClass.EDGE_X_PLUS] == 2 * (J - 2)
-
-
-def test_classify_out_of_range():
-    with pytest.raises(OutOfRange):
-        classify_node(0, 1, 1, 5, 5, 5)
 
 
 def test_reflection_negates_coordinates_exactly():

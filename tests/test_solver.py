@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bepo.solver as solver_module
-from bepo.assembly import assemble_matrix, assemble_rhs, assemble_system
+from bepo.assembly import assemble_matrix, assemble_rhs
 from bepo.errors import NoConvergence, NonFiniteState
 from bepo.grid import GridSpec, build_grid
 from bepo.model import ForceSpec, ModelParams
@@ -79,8 +79,10 @@ def test_solver_linearity_on_combinations(grid9, matrix9):
 
 
 def test_determinism(grid9):
-    sys1 = assemble_system(grid9, MODEL, mollified_crossing_speed(0.5, 0.8), 1e-2)
-    sys2 = assemble_system(grid9, MODEL, mollified_crossing_speed(0.5, 0.8), 1e-2)
+    sys1 = assemble_matrix(grid9, MODEL, 1e-2)
+    sys2 = assemble_matrix(grid9, MODEL, 1e-2)
+    sys1.rhs = assemble_rhs(grid9, mollified_crossing_speed(0.5, 0.8), 1e-2)
+    sys2.rhs = assemble_rhs(grid9, mollified_crossing_speed(0.5, 0.8), 1e-2)
     r1 = solve_resolvent(sys1)
     r2 = solve_resolvent(sys2)
     assert np.array_equal(r1.v, r2.v)
