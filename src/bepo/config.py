@@ -9,6 +9,7 @@ manifest always captures the full input.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import BepoError, ParseError, ValidationError
@@ -17,7 +18,7 @@ from .model import ForceSpec, ModelParams
 from .sde import OscState, SimConfig
 from .solver import SolverConfig
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "DEFAULTS"]
+__all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 EXPERIMENTS = (
     "solve",
@@ -94,7 +95,8 @@ class RunConfig:
         return self.grid.x_bar / 64.0 if self.eps0 is None else self.eps0
 
 
-# key -> (section, attr, type); the flat schema of the document
+# key -> value type: the flat schema of the document, in the order
+# serialize_config writes it. The last three keys are written only when set.
 _SCHEMA = {
     "model.k": float,
     "model.alpha": float,
@@ -117,39 +119,48 @@ _SCHEMA = {
     "solver.polish_factor": float,
     "sim.dt": float,
     "sim.n_steps": int,
-    "sim.burn_in": int,
     "sim.seed": int,
     "sim.n_paths": int,
     "sim.init_x": float,
     "sim.init_y": float,
     "sim.init_z": float,
     "experiment": str,
-    "sweep.values": "floatlist",
     "observable.kind": str,
     "observable.a1": float,
-    "observable.eps0": float,
     "observable.a2": float,
     "observable.c": float,
     "mc.enabled": bool,
     "convergence.n_refinements": int,
     "convergence.interior_only": bool,
     "output.record_stride": int,
+    "sim.burn_in": int,
+    "observable.eps0": float,
+    "sweep.values": "floatlist",
 }
 
-# document keys of RunConfig's own fields -> field name
-_RUN_FIELDS = {
-    "experiment": "experiment",
-    "sweep.values": "sweep",
+# the blocks of RunConfig a key's section may name; a key of any other section
+# is a field of RunConfig itself (block "")
+_BLOCKS = ("model", "force", "grid", "solver", "sim", "init")
+
+# keys whose field is not the key's last part
+_RENAMED = {
+    "grid.lambda": "lam",
+    "sim.init_x": "x",
+    "sim.init_y": "y",
+    "sim.init_z": "z",
     "observable.kind": "observable",
-    "observable.a1": "a1",
-    "observable.eps0": "eps0",
-    "observable.a2": "a2",
     "observable.c": "g_const",
     "mc.enabled": "mc_enabled",
-    "convergence.n_refinements": "n_refinements",
-    "convergence.interior_only": "interior_only",
-    "output.record_stride": "record_stride",
+    "sweep.values": "sweep",
 }
+
+
+def _place(key: str) -> tuple[str, str]:
+    """(block, field) of a document key; `sim.init_*` go to block `init`."""
+    section, _, last = key.rpartition(".")
+    if key.startswith("sim.init_"):
+        section = "init"
+    return section if section in _BLOCKS else "", _RENAMED.get(key, last)
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -172,6 +183,17 @@ def _parse_value(key: str, raw: str, lineno: int):
         raise ParseError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
 
 
+def _format_value(key: str, value) -> str:
+    kind = _SCHEMA[key]
+    if kind is float:
+        return repr(value)
+    if kind is bool:
+        return str(value).lower()
+    if kind == "floatlist":
+        return ", ".join(repr(v) for v in value)
+    return f"{value}"
+
+
 def parse_config(
     text: str, experiment: str | None = None, seed: int | None = None
 ) -> RunConfig:
@@ -184,7 +206,8 @@ def parse_config(
     Raises ParseError with the offending line for syntax problems and
     ValidationError citing the violated invariant for bad values.
     """
-    values = {}
+    # block -> {field: value}; absent fields keep the dataclass defaults
+    fields = defaultdict(dict)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -194,35 +217,24 @@ def parse_config(
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        block, name = _place(key)
+        if name in fields[block]:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, lineno)
+        fields[block][name] = _parse_value(key, raw, lineno)
 
-    def section(name):
-        """The section's keys by field name; absent ones keep the field defaults."""
-        prefix = name + "."
-        return {k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
-
-    run_fields = {f: values[k] for k, f in _RUN_FIELDS.items() if k in values}
     if experiment is not None:
-        run_fields["experiment"] = experiment
+        fields[""]["experiment"] = experiment
+    if seed is not None:
+        fields["sim"]["seed"] = seed
     try:
-        model = ModelParams(force=ForceSpec(**section("force")), **section("model"))
-        grid_keys = section("grid")
-        if "lambda" in grid_keys:
-            grid_keys["lam"] = grid_keys.pop("lambda")
-        sim_keys = section("sim")
-        if seed is not None:
-            sim_keys["seed"] = seed
-        init = OscState(
-            **{axis: sim_keys.pop("init_" + axis, 0.0) for axis in ("x", "y", "z")}
-        )
+        model = ModelParams(force=ForceSpec(**fields["force"]), **fields["model"])
+        init = OscState(**(dict.fromkeys("xyz", 0.0) | fields["init"]))
         return RunConfig(
             model=model,
-            grid=GridSpec(b=model.b, **grid_keys),
-            solver=SolverConfig(**section("solver")),
-            sim=SimConfig(init=init, **sim_keys),
-            **run_fields,
+            grid=GridSpec(b=model.b, **fields["grid"]),
+            solver=SolverConfig(**fields["solver"]),
+            sim=SimConfig(init=init, **fields["sim"]),
+            **fields[""],
         )
     except (ValueError, BepoError) as exc:  # dataclass validators
         raise ValidationError(str(exc)) from exc
@@ -230,50 +242,20 @@ def parse_config(
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit the full resolved document; parse(serialize(c)) == c."""
-    lines = [
-        f"model.k = {cfg.model.k!r}",
-        f"model.alpha = {cfg.model.alpha!r}",
-        f"model.b = {cfg.model.b!r}",
-        f"model.sigma = {cfg.model.sigma!r}",
-        f"force.c0 = {cfg.model.force.c0!r}",
-        f"force.c1 = {cfg.model.force.c1!r}",
-        f"force.const = {cfg.model.force.const!r}",
-        f"grid.x_bar = {cfg.grid.x_bar!r}",
-        f"grid.y_bar = {cfg.grid.y_bar!r}",
-        f"grid.lambda = {cfg.grid.lam!r}",
-        f"grid.I = {cfg.grid.I}",
-        f"grid.J = {cfg.grid.J}",
-        f"grid.K = {cfg.grid.K}",
-        f"solver.rel_tol = {cfg.solver.rel_tol!r}",
-        f"solver.max_iters = {cfg.solver.max_iters}",
-        f"solver.restart = {cfg.solver.restart}",
-        f"solver.drop_tol = {cfg.solver.drop_tol!r}",
-        f"solver.fill_factor = {cfg.solver.fill_factor!r}",
-        f"solver.polish_factor = {cfg.solver.polish_factor!r}",
-        f"sim.dt = {cfg.sim.dt!r}",
-        f"sim.n_steps = {cfg.sim.n_steps}",
-        f"sim.seed = {cfg.sim.seed}",
-        f"sim.n_paths = {cfg.sim.n_paths}",
-        f"sim.init_x = {cfg.sim.init.x!r}",
-        f"sim.init_y = {cfg.sim.init.y!r}",
-        f"sim.init_z = {cfg.sim.init.z!r}",
-        f"experiment = {cfg.experiment}",
-        f"observable.kind = {cfg.observable}",
-        f"observable.a1 = {cfg.a1!r}",
-        f"observable.a2 = {cfg.a2!r}",
-        f"observable.c = {cfg.g_const!r}",
-        f"mc.enabled = {str(cfg.mc_enabled).lower()}",
-        f"convergence.n_refinements = {cfg.n_refinements}",
-        f"convergence.interior_only = {str(cfg.interior_only).lower()}",
-        f"output.record_stride = {cfg.record_stride}",
-    ]
-    if cfg.sim.burn_in is not None:
-        lines.append(f"sim.burn_in = {cfg.sim.burn_in}")
-    if cfg.eps0 is not None:
-        lines.append(f"observable.eps0 = {cfg.eps0!r}")
-    if cfg.sweep:
-        lines.append("sweep.values = " + ", ".join(repr(v) for v in cfg.sweep))
+    blocks = {
+        "": cfg,
+        "model": cfg.model,
+        "force": cfg.model.force,
+        "grid": cfg.grid,
+        "solver": cfg.solver,
+        "sim": cfg.sim,
+        "init": cfg.sim.init,
+    }
+    lines = []
+    for key in _SCHEMA:
+        block, name = _place(key)
+        value = getattr(blocks[block], name)
+        if value is None or (_SCHEMA[key] == "floatlist" and not value):
+            continue  # an unset optional key
+        lines.append(f"{key} = {_format_value(key, value)}")
     return "\n".join(lines) + "\n"
-
-
-DEFAULTS = RunConfig()

@@ -40,10 +40,8 @@ def refine_nested(spec: GridSpec, axis: str) -> GridSpec:
 
 @dataclass(frozen=True)
 class RefinementLadder:
-    """Base spec plus the refined-axis specs, coarse to fine."""
+    """The base spec and its refinements along one axis, coarse to fine."""
 
-    base: GridSpec
-    axis: str
     levels: tuple[GridSpec, ...]
 
 
@@ -52,7 +50,7 @@ def refinement_ladder(spec: GridSpec, axis: str, n_refinements: int) -> Refineme
     levels = [spec]
     for _ in range(n_refinements):
         levels.append(refine_nested(levels[-1], axis))
-    return RefinementLadder(base=spec, axis=axis, levels=tuple(levels))
+    return RefinementLadder(levels=tuple(levels))
 
 
 def _refined_axis(coarse: GridSpec, fine: GridSpec) -> str:

@@ -503,15 +503,26 @@ class BandObserver:
         self.n_samples = 0
         self.block_counts = [[] for _ in self.radii]
         self.block_sizes = []
+        # reused across blocks: |x - z| and the in-band mask
+        self._dist = np.empty((0, n_paths))
+        self._inside = np.empty((0, n_paths), dtype=bool)
 
     def update(self, t0, xs, ys, zs):
-        self.n_samples += xs.shape[0]
-        self.block_sizes.append(xs.shape[0])
-        d = np.abs(xs - zs)
+        nb = xs.shape[0]
+        self.n_samples += nb
+        self.block_sizes.append(nb)
+        if self._dist.shape[0] < nb:
+            self._dist = np.empty(xs.shape)
+            self._inside = np.empty(xs.shape, dtype=bool)
+        d = self._dist[:nb]
+        inside = self._inside[:nb]
+        np.subtract(xs, zs, out=d)
+        np.abs(d, out=d)
         for ri, a2 in enumerate(self.radii):
-            inside = d <= a2
-            self.counts[ri] += inside.sum(axis=0)
-            self.block_counts[ri].append(int(inside.sum()))
+            np.less_equal(d, a2, out=inside)
+            per_path = inside.sum(axis=0)
+            self.counts[ri] += per_path
+            self.block_counts[ri].append(int(per_path.sum()))
 
     def probability(self, radius_index: int):
         """(value, se) of the band probability; values sit in [0, 1] exactly

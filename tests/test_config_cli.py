@@ -200,6 +200,137 @@ def test_round_trip_identity():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+# the manifest's config text for the defaults, and for a document that sets
+# every key, written in the order serialize_config has always used; a
+# dropped, renamed or reordered key changes it
+DEFAULT_TEXT = """\
+model.k = 1.0
+model.alpha = 0.5
+model.b = 1.0
+model.sigma = 1.0
+force.c0 = 1.0
+force.c1 = 0.0
+force.const = 0.0
+grid.x_bar = 3.5
+grid.y_bar = 3.5
+grid.lambda = 0.001
+grid.I = 33
+grid.J = 33
+grid.K = 33
+solver.rel_tol = 1e-10
+solver.max_iters = 200
+solver.restart = 60
+solver.drop_tol = 0.001
+solver.fill_factor = 10.0
+solver.polish_factor = 1.0
+sim.dt = 0.001
+sim.n_steps = 100000
+sim.seed = 0
+sim.n_paths = 1
+sim.init_x = 0.0
+sim.init_y = 0.0
+sim.init_z = 0.0
+experiment = solve
+observable.kind = crossing
+observable.a1 = 0.0
+observable.a2 = 1.0
+observable.c = 1.0
+mc.enabled = true
+convergence.n_refinements = 3
+convergence.interior_only = false
+output.record_stride = 0
+"""
+
+EVERY_KEY_DOCUMENT = """
+convergence.interior_only = yes
+convergence.n_refinements = 2
+experiment = crossing-sweep
+force.c0 = 0.1
+force.c1 = -1.5
+force.const = 0.2
+grid.I = 9
+grid.J = 11
+grid.K = 7
+grid.lambda = 1e-2
+grid.x_bar = 4
+grid.y_bar = 3
+mc.enabled = 0
+model.alpha = 0.75
+model.b = 1.5
+model.k = 1.25
+model.sigma = 0.8
+observable.a1 = 0.3
+observable.a2 = 1.5
+observable.c = 2
+observable.eps0 = 0.2
+observable.kind = band
+output.record_stride = 10
+sim.burn_in = 100
+sim.dt = 2e-3
+sim.init_x = 0.1
+sim.init_y = -0.2
+sim.init_z = 0.05
+sim.n_paths = 8
+sim.n_steps = 5000
+sim.seed = 17
+solver.drop_tol = 1e-4
+solver.fill_factor = 12
+solver.max_iters = 500
+solver.polish_factor = 0.5
+solver.rel_tol = 1e-9
+solver.restart = 25
+sweep.values = 0.5 1 1.5
+"""
+
+EVERY_KEY_TEXT = """\
+model.k = 1.25
+model.alpha = 0.75
+model.b = 1.5
+model.sigma = 0.8
+force.c0 = 0.1
+force.c1 = -1.5
+force.const = 0.2
+grid.x_bar = 4.0
+grid.y_bar = 3.0
+grid.lambda = 0.01
+grid.I = 9
+grid.J = 11
+grid.K = 7
+solver.rel_tol = 1e-09
+solver.max_iters = 500
+solver.restart = 25
+solver.drop_tol = 0.0001
+solver.fill_factor = 12.0
+solver.polish_factor = 0.5
+sim.dt = 0.002
+sim.n_steps = 5000
+sim.seed = 17
+sim.n_paths = 8
+sim.init_x = 0.1
+sim.init_y = -0.2
+sim.init_z = 0.05
+experiment = crossing-sweep
+observable.kind = band
+observable.a1 = 0.3
+observable.a2 = 1.5
+observable.c = 2.0
+mc.enabled = false
+convergence.n_refinements = 2
+convergence.interior_only = true
+output.record_stride = 10
+sim.burn_in = 100
+observable.eps0 = 0.2
+sweep.values = 0.5, 1.0, 1.5
+"""
+
+
+def test_serialized_config_text_is_pinned():
+    assert serialize_config(RunConfig()) == DEFAULT_TEXT
+    cfg = parse_config(EVERY_KEY_DOCUMENT)
+    assert serialize_config(cfg) == EVERY_KEY_TEXT
+    assert parse_config(EVERY_KEY_TEXT) == cfg
+
+
 def quick_config(extra=""):
     return parse_config(
         "grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n"
