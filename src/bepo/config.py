@@ -81,10 +81,8 @@ class RunConfig:
         # a crossing rate divides by the time between the first and the last
         # observed sample, as crossing_frequency_mc does
         observed = self.sim.n_steps - self.sim.effective_burn_in
-        counts_crossings = self.experiment == "cross-validate" or (
-            self.experiment == "crossing-sweep" and self.mc_enabled
-        )
-        if counts_crossings and observed < 2:
+        counts_crossings = self.experiment in ("cross-validate", "crossing-sweep")
+        if counts_crossings and self.mc_enabled and observed < 2:
             raise ValueError(
                 f"{self.experiment} counts Monte Carlo crossings over "
                 f"sim.n_steps - burn_in = {observed} observed samples; a "

@@ -1,5 +1,12 @@
 """Experiment drivers shared by the CLI and the acceptance tests.
 
+Every PDE experiment factors and solves through `_factor_and_solve`. The
+two sweeps and `cross-validate` take their rows from `_level_rows`: one
+adjoint solve gives the weights w, every statistic is read as w @ g, and
+one Monte Carlo run, when `mc.enabled`, counts every crossing level and
+band radius on the same paths. Each experiment picks its columns from
+those rows, and `_write_csv` writes them and the convergence table.
+
 Every run writes its outputs plus a manifest.json holding the fully
 resolved config document, the package version, wall-clock time, and the
 summary rows, so a run can be reproduced bit-exactly from its manifest.
@@ -30,6 +37,7 @@ from .sde import (
     BandObserver,
     CrossingObserver,
     SampleRecorder,
+    _phase_of,
     simulate_paths,
     simulate_trajectory,
 )
@@ -170,6 +178,7 @@ def run_solve(cfg: RunConfig, out: Path) -> dict:
     solution_to_csv(report.v, grid, out / "solution.csv")
     summary_to_json(report, out / "summary.json")
     row = report.summary()
+    row["bound_violations"] = len(report.bound_violations)
     write_manifest(out, cfg, [row], time.perf_counter() - t0, stages=stages)
     return row
 
@@ -188,15 +197,13 @@ def run_simulate(cfg: RunConfig, out: Path) -> dict:
     if recorder is not None:
         xs, ys, zs = recorder.arrays()
         ts = recorder.times(cfg.sim.dt)
-        stride = cfg.record_stride
-        b = cfg.model.b
         with open(out / "trajectory.csv", "w") as fh:
             fh.write("t,x,y,z,phase\n")
-            for m in range(0, len(ts), stride):
+            for m in range(0, len(ts), cfg.record_stride):
                 z = zs[m, 0]
-                phase = "plastic+" if z == b else ("plastic-" if z == -b else "elastic")
                 fh.write(
-                    f"{ts[m]:.12g},{xs[m, 0]:.12g},{ys[m, 0]:.12g},{z:.12g},{phase}\n"
+                    f"{ts[m]:.12g},{xs[m, 0]:.12g},{ys[m, 0]:.12g},{z:.12g},"
+                    f"{_phase_of(z, cfg.model.b).value}\n"
                 )
     row = {
         "n_observed": stats.n_observed,
@@ -210,62 +217,74 @@ def run_simulate(cfg: RunConfig, out: Path) -> dict:
     return row
 
 
-def _monte_carlo(cfg: RunConfig, a1_levels, a2_levels):
-    """(value, se) of every crossing level, then of every band radius, from
-    one shared Monte Carlo run."""
-    sim = cfg.sim
-    crossing = CrossingObserver(a1_levels, sim.dt, sim.n_paths)
-    band = BandObserver(a2_levels, sim.n_paths)
-    observers = [obs for obs, levels in ((crossing, a1_levels), (band, a2_levels)) if levels]
-    simulate_paths(sim, cfg.model, observers)
-    return [crossing.frequency(i) for i in range(len(a1_levels))] + [
-        band.probability(i) for i in range(len(a2_levels))
-    ]
+def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
+    """One row per crossing level, then per band radius, from one adjoint
+    solve and at most one Monte Carlo run, for the sweeps and
+    `cross-validate`.
 
-
-def _pde_sweep(cfg: RunConfig, observables):
-    """Every observable's statistic from one adjoint solve; ordered by input.
-
-    All observables share the grid and matrix, so the matrix is assembled
-    and factored once, and one solve on its transpose gives the weights w
-    with stat(g) = w @ g. Returns the statistics, the report of the adjoint
-    solve (w is its v), the grid and the stage record.
+    Every PDE statistic is w @ g on the weights w of `invariant_weights`.
+    With `mc` one shared set of paths feeds a `CrossingObserver` and a
+    `BandObserver`; without it mc and mc_se are NaN. A row holds kind,
+    level, pde, mc, mc_se, residual and iterations, and a crossing row also
+    nu_rice, Rice's rate on w. Returns the rows, w's `weight_diagnostics`
+    and the stage record.
     """
+    kinds = ["crossing"] * len(crossing) + ["band"] * len(band)
+    levels = crossing + band
+    observables = [observable_from_config(cfg, k, lv) for k, lv in zip(kinds, levels)]
     adjoint, grid, rhs, stages = _factor_and_solve(cfg, cfg.grid, observables, adjoint=True)
-    return [float(adjoint.v @ b) for b in rhs], adjoint, grid, stages
-
-
-def _sweep_common(cfg: RunConfig, out: Path, kind: str):
-    t0 = time.perf_counter()
-    levels = list(cfg.sweep)
-    stats, adjoint, grid, stages = _pde_sweep(
-        cfg, [observable_from_config(cfg, kind, lv) for lv in levels]
-    )
-    mc = [(math.nan, math.nan)] * len(levels)
-    if cfg.mc_enabled:
-        mc = _monte_carlo(cfg, *((levels, []) if kind == "crossing" else ([], levels)))
-
+    w = adjoint.v
+    pde = [float(w @ b) for b in rhs]
+    # freed before the Monte Carlo phase, whose peak RSS follows the heap
+    # that the PDE phase leaves behind
+    del observables, rhs
+    estimates = [(math.nan, math.nan)] * len(levels)
+    if mc:
+        sim = cfg.sim
+        crossings = CrossingObserver(crossing, sim.dt, sim.n_paths)
+        bands = BandObserver(band, sim.n_paths)
+        observers = [obs for obs, on in ((crossings, crossing), (bands, band)) if on]
+        simulate_paths(sim, cfg.model, observers)
+        estimates = [crossings.frequency(i) for i in range(len(crossing))] + [
+            bands.probability(i) for i in range(len(band))
+        ]
     rows = []
-    for level, stat, (mv, mse) in zip(levels, stats, mc):
-        row = {"level": level, "pde": stat, "mc": mv, "mc_se": mse}
+    for kind, level, stat, (mv, mse) in zip(kinds, levels, pde, estimates):
+        row = {"kind": kind, "level": level, "pde": stat, "mc": mv, "mc_se": mse}
         if kind == "crossing":
-            row["nu_rice"] = rice_rate(adjoint.v, grid, level)
+            row["nu_rice"] = rice_rate(w, grid, level)
         row.update(residual=adjoint.residual, iterations=adjoint.iterations)
         rows.append(row)
+    return rows, weight_diagnostics(w, grid), stages
+
+
+def _write_csv(path: Path, header: str, rows, keys) -> None:
+    """header, then the `keys` of each row: numbers as %.12g, strings as
+    they are."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for r in rows:
+            cells = (r[k] if isinstance(r[k], str) else f"{r[k]:.12g}" for k in keys)
+            fh.write(",".join(cells) + "\n")
+
+
+def _sweep(cfg: RunConfig, out: Path, kind: str):
+    t0 = time.perf_counter()
+    levels = list(cfg.sweep)
+    crossing = kind == "crossing"
+    found, weights, stages = _level_rows(
+        cfg, levels if crossing else [], [] if crossing else levels, cfg.mc_enabled
+    )
+    keys = ["level", "pde", "mc", "mc_se"] + (["nu_rice"] if crossing else []) + ["residual"]
+    rows = [{key: r[key] for key in keys + ["iterations"]} for r in found]
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "crossing":
+    if crossing:
         csv, header = out / "crossing_sweep.csv", "a1,nu_pde,nu_mc,nu_mc_se,nu_rice,residual"
     else:
         csv, header = out / "serviceability_sweep.csv", "a2,P_pde,P_mc,P_mc_se,residual"
-    columns = [key for key in rows[0] if key != "iterations"]
-    with open(csv, "w") as fh:
-        fh.write(header + "\n")
-        for r in rows:
-            fh.write(",".join(f"{r[key]:.12g}" for key in columns) + "\n")
+    _write_csv(csv, header, rows, keys)
     _write_plot_script(out, csv.name, kind)
-    write_manifest(
-        out, cfg, rows, time.perf_counter() - t0, weight_diagnostics(adjoint.v, grid), stages
-    )
+    write_manifest(out, cfg, rows, time.perf_counter() - t0, weights, stages)
     return rows
 
 
@@ -286,13 +305,13 @@ def _write_plot_script(out: Path, csv_name: str, kind: str) -> None:
 
 def run_crossing_sweep(cfg: RunConfig, out: Path):
     """nu(a1) for each sweep value by the PDE route, plus MC when enabled."""
-    return _sweep_common(cfg, out, "crossing")
+    return _sweep(cfg, out, "crossing")
 
 
 def run_serviceability_sweep(cfg: RunConfig, out: Path):
     """P(a2) for each sweep value; the MC column shares one sample set and
     is therefore exactly nondecreasing in a2."""
-    return _sweep_common(cfg, out, "band")
+    return _sweep(cfg, out, "band")
 
 
 def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
@@ -349,12 +368,8 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
                 }
             )
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("axis,level,h,diff,order\n")
-        for r in rows:
-            fh.write(
-                f"{r['axis']},{r['level']},{r['h']:.12g},{r['diff']:.12g},{r['order']:.12g}\n"
-            )
+    keys = ["axis", "level", "h", "diff", "order"]
+    _write_csv(out / "convergence.csv", ",".join(keys), rows, keys)
     stages = {key: sum(st[key] for st in level_stages) for key in level_stages[0]}
     write_manifest(out, cfg, rows, time.perf_counter() - t0, stages=stages)
     return rows
@@ -364,51 +379,29 @@ def run_cross_validate(cfg: RunConfig, out: Path):
     """Both routes at matched settings for crossing and band observables.
 
     Crossing levels come from cfg.sweep when given (else a1); band radii
-    from cfg.a2. One factorization and one adjoint solve serve both kinds.
-    Returns one comparison row per (kind, level): abs_diff = |pde - mc| and
-    gap_se = (pde - mc) / mc_se, the gap in Monte Carlo standard errors (nan
-    when mc_se is 0). The CSV and the manifest add one `rice` row per
-    crossing level, Rice's formula on the same weights against the same
-    Monte Carlo counts.
+    from cfg.a2. One factorization and one adjoint solve serve both kinds,
+    and Monte Carlo runs when cfg.mc_enabled. Returns one comparison row per
+    (kind, level): abs_diff = |pde - mc| and gap_se = (pde - mc) / mc_se,
+    the gap in Monte Carlo standard errors (nan when mc_se is 0 or Monte
+    Carlo is off). The CSV and the manifest add one `rice` row per crossing
+    level, Rice's formula on the same weights against the same Monte Carlo
+    counts.
     """
     t0 = time.perf_counter()
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
-    a2_levels = [cfg.a2]
+    found, weights, stages = _level_rows(cfg, a1_levels, [cfg.a2], cfg.mc_enabled)
 
-    stats, adjoint, grid, stages = _pde_sweep(
-        cfg,
-        [observable_from_config(cfg, "crossing", lv) for lv in a1_levels]
-        + [observable_from_config(cfg, "band", lv) for lv in a2_levels],
-    )
-    mc = _monte_carlo(cfg, a1_levels, a2_levels)
-    crossing_mc = mc[: len(a1_levels)]
-    kinds = ["crossing"] * len(a1_levels) + ["band"] * len(a2_levels)
-
-    def compare(kind, level, pde, mv, mse):
-        gap = pde - mv
-        return {"kind": kind, "level": level, "pde": pde,
-                "mc": mv, "mc_se": mse, "abs_diff": abs(gap),
+    def compare(r, kind, pde):
+        gap, mse = pde - r["mc"], r["mc_se"]
+        return {"kind": kind, "level": r["level"], "pde": pde,
+                "mc": r["mc"], "mc_se": mse, "abs_diff": abs(gap),
                 "gap_se": gap / mse if mse > 0 else math.nan,
-                "residual": adjoint.residual, "iterations": adjoint.iterations}
+                "residual": r["residual"], "iterations": r["iterations"]}
 
-    rows = [
-        compare(kind, level, stat, mv, mse)
-        for kind, level, stat, (mv, mse) in zip(kinds, a1_levels + a2_levels, stats, mc)
-    ]
-    rice_rows = [
-        compare("rice", level, rice_rate(adjoint.v, grid, level), mv, mse)
-        for level, (mv, mse) in zip(a1_levels, crossing_mc)
-    ]
+    rows = [compare(r, r["kind"], r["pde"]) for r in found]
+    rice_rows = [compare(r, "rice", r["nu_rice"]) for r in found if r["kind"] == "crossing"]
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "cross_validate.csv", "w") as fh:
-        fh.write("kind,level,pde,mc,mc_se,abs_diff,gap_se\n")
-        for r in rows + rice_rows:
-            fh.write(
-                f"{r['kind']},{r['level']:.12g},{r['pde']:.12g},{r['mc']:.12g},"
-                f"{r['mc_se']:.12g},{r['abs_diff']:.12g},{r['gap_se']:.12g}\n"
-            )
-    write_manifest(
-        out, cfg, rows + rice_rows, time.perf_counter() - t0,
-        weight_diagnostics(adjoint.v, grid), stages,
-    )
+    keys = ["kind", "level", "pde", "mc", "mc_se", "abs_diff", "gap_se"]
+    _write_csv(out / "cross_validate.csv", ",".join(keys), rows + rice_rows, keys)
+    write_manifest(out, cfg, rows + rice_rows, time.perf_counter() - t0, weights, stages)
     return rows

@@ -29,16 +29,14 @@ __all__ = [
 class Observable:
     """A scalar field with metadata.
 
-    kind            : "crossing", "band" or "constant"
-    fn              : vectorized g(x, y, z) -> array
-    params          : the defining constants (a1/eps0, a2, or c)
-    even_reflection : True when g(-x, -y, -z) = g(x, y, z) exactly
+    kind   : "crossing", "band" or "constant"
+    fn     : vectorized g(x, y, z) -> array
+    params : the defining constants (a1/eps0, a2, or c)
     """
 
     kind: str
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     params: dict
-    even_reflection: bool
 
     def __call__(self, x, y, z):
         return self.fn(x, y, z)
@@ -73,12 +71,7 @@ def mollified_crossing_speed(a1: float, eps0: float) -> Observable:
         d = np.asarray(x) - a1
         return np.abs(y) * norm * np.exp(-(d * d) * inv2e2)
 
-    return Observable(
-        kind="crossing",
-        fn=fn,
-        params={"a1": a1, "eps0": eps0},
-        even_reflection=(a1 == 0.0),
-    )
+    return Observable(kind="crossing", fn=fn, params={"a1": a1, "eps0": eps0})
 
 
 def plastic_band(a2: float) -> Observable:
@@ -95,7 +88,7 @@ def plastic_band(a2: float) -> Observable:
     def fn(x, y, z):
         return (np.abs(np.asarray(x) - z) <= a2).astype(np.float64)
 
-    return Observable(kind="band", fn=fn, params={"a2": a2}, even_reflection=True)
+    return Observable(kind="band", fn=fn, params={"a2": a2})
 
 
 def constant_observable(c: float) -> Observable:
@@ -104,7 +97,7 @@ def constant_observable(c: float) -> Observable:
     def fn(x, y, z):
         return np.full(np.broadcast(x, y, z).shape, float(c))
 
-    return Observable(kind="constant", fn=fn, params={"c": c}, even_reflection=True)
+    return Observable(kind="constant", fn=fn, params={"c": c})
 
 
 def check_resolution(eps0: float, dx_unscaled: float) -> bool:

@@ -430,6 +430,21 @@ def test_cli_solve_and_manifest(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_solve_manifest_counts_bound_violations(tmp_path, monkeypatch):
+    """The boundedness diagnostic reaches the manifest; summary.json keeps
+    its four keys."""
+    from bepo.experiments import run_solve
+
+    monkeypatch.setattr(
+        experiments, "magnitude_violations", lambda v, grid, sup_g: [(1, 1, 1, 2.0)] * 2
+    )
+    run_solve(quick_config("observable.kind = band\n"), tmp_path)
+    rows = json.loads((tmp_path / "manifest.json").read_text())["rows"]
+    assert rows[0]["bound_violations"] == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == {"statistic", "spread", "residual", "iterations"}
+
+
 def test_cli_simulate_trajectory_dump(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -510,6 +525,60 @@ def test_run_cross_validate_small(tmp_path):
     for r in rows:
         assert np.isfinite(r["abs_diff"])
     assert (tmp_path / "cross_validate.csv").exists()
+
+
+def test_cross_validate_honours_monte_carlo_off(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran with mc.enabled = false")
+
+    monkeypatch.setattr(experiments, "simulate_paths", never)
+    # one observed sample is enough when no crossing is counted
+    cfg = parse_config(
+        "experiment = cross-validate\nmc.enabled = false\nsim.n_steps = 2\n"
+        "sim.burn_in = 1\ngrid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n"
+        "observable.eps0 = 1.0\nsweep.values = -0.5, 0.5\n"
+    )
+    from bepo.experiments import run_cross_validate
+
+    rows = run_cross_validate(cfg, tmp_path)
+    assert [r["kind"] for r in rows] == ["crossing", "crossing", "band"]
+    lines = (tmp_path / "cross_validate.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["crossing"] * 2 + ["band"] + ["rice"] * 2
+    for line in lines:
+        assert np.isfinite(float(line.split(",")[2]))
+        assert line.split(",")[3:] == ["nan"] * 4
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for r in manifest["rows"]:
+        assert r["pde"] is not None
+        assert [r[key] for key in ("mc", "mc_se", "abs_diff", "gap_se")] == [None] * 4
+
+
+def test_sweeps_and_cross_validate_agree_bit_for_bit(tmp_path):
+    """All three read one weights vector and count on one set of paths."""
+    from bepo.experiments import run_cross_validate
+
+    levels = (-0.5, 0.0, 1.0)
+    cfg = quick_config("observable.eps0 = 1.0\nobservable.a2 = 0.75\n")
+    cfg.sweep = levels
+    crossing = run_crossing_sweep(cfg, tmp_path / "crossing")
+    run_cross_validate(cfg, tmp_path / "cross")
+    cross = json.loads((tmp_path / "cross" / "manifest.json").read_text())["rows"]
+    cfg.sweep = (cfg.a2,)
+    (service,) = run_serviceability_sweep(cfg, tmp_path / "service")
+
+    assert cfg.mc_enabled
+    by_kind = {
+        kind: [r for r in cross if r["kind"] == kind] for kind in ("crossing", "band", "rice")
+    }
+    for r, c, rice in zip(crossing, by_kind["crossing"], by_kind["rice"], strict=True):
+        assert r["level"] == c["level"] == rice["level"]
+        assert (r["pde"], r["mc"], r["mc_se"]) == (c["pde"], c["mc"], c["mc_se"])
+        assert r["nu_rice"] == rice["pde"]
+        assert (rice["mc"], rice["mc_se"]) == (c["mc"], c["mc_se"])
+    (band,) = by_kind["band"]
+    assert (service["level"], service["pde"], service["mc"], service["mc_se"]) == (
+        band["level"], band["pde"], band["mc"], band["mc_se"]
+    )
 
 
 def test_frozen_deterministic_path_has_zero_crossings(tmp_path):
@@ -624,7 +693,7 @@ def test_sweep_with_a_nan_right_hand_side_fails_before_writing(tmp_path, monkeyp
                 out.flat[out.size // 2] = np.nan
             return out
 
-        return experiments.Observable(g.kind, fn, g.params, g.even_reflection)
+        return experiments.Observable(g.kind, fn, g.params)
 
     monkeypatch.setattr(experiments, "mollified_crossing_speed", one_nan_node)
     cfg = quick_config("observable.eps0 = 1.0\n")

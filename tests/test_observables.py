@@ -49,8 +49,6 @@ def test_crossing_speed_even_reflection_at_zero_level():
     assert np.array_equal(
         g(-pts[:, 0], -pts[:, 1], -pts[:, 2]), g(pts[:, 0], pts[:, 1], pts[:, 2])
     )
-    assert g.even_reflection
-    assert not mollified_crossing_speed(0.5, 0.2).even_reflection
 
 
 def test_invalid_width():
