@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENTS, parse_config
-from .errors import BepoError
+from .errors import BepoError, ValidationError
 from .experiments import (
     run_convergence,
     run_cross_validate,
@@ -47,6 +47,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     text = args.config.read_text() if args.config else ""
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         cfg = parse_config(text, experiment=args.experiment, seed=args.seed)
 
         if args.experiment == "solve":

@@ -5,16 +5,18 @@ two sweeps and `cross-validate` take their rows from `_level_rows`: one
 adjoint solve gives the weights w, every statistic is read as w @ g, and
 one Monte Carlo run, when `mc.enabled`, counts every crossing level and
 band radius on the same paths. Each experiment picks its columns from
-those rows, and `_write_csv` writes them and the convergence table.
+those rows.
 
 Every run writes its outputs plus a manifest.json holding the fully
 resolved config document, the package version, wall-clock time, and the
 summary rows, so a run can be reproduced bit-exactly from its manifest.
+`_write_csv` writes every CSV table and `_write_json` every JSON file.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 import time
@@ -48,8 +50,6 @@ from .solver import (
     magnitude_violations,
     require_finite,
     rice_rate,
-    solution_to_csv,
-    summary_to_json,
     weight_diagnostics,
 )
 
@@ -136,6 +136,21 @@ def _strict(value):
     return value
 
 
+def _write_json(path: Path, value, indent=None) -> None:
+    """value as strict JSON, one document and a newline: a NaN or an
+    infinity is written as null."""
+    path.write_text(json.dumps(_strict(value), indent=indent, allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """header, then one line per row of cells: numbers as %.12g, strings as
+    they are."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([c if isinstance(c, str) else "%.12g" % c for c in row]) + "\n")
+
+
 def write_manifest(
     out: Path,
     cfg: RunConfig,
@@ -144,7 +159,7 @@ def write_manifest(
     weights: dict | None = None,
     stages: dict | None = None,
 ) -> None:
-    """manifest.json, strict JSON: a NaN or an infinity is written as null.
+    """manifest.json, strict JSON (`_write_json`).
 
     `weights` holds the weight diagnostics of runs that solve for the
     discrete invariant measure, and `stages` the stage record of runs that
@@ -161,8 +176,7 @@ def write_manifest(
         manifest["weights"] = weights
     if stages is not None:
         manifest["stages"] = stages
-    text = json.dumps(_strict(manifest), indent=2, allow_nan=False)
-    (out / "manifest.json").write_text(text + "\n")
+    _write_json(out / "manifest.json", manifest, indent=2)
 
 
 def run_solve(cfg: RunConfig, out: Path) -> dict:
@@ -170,15 +184,22 @@ def run_solve(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     g = observable_from_config(cfg)
     report, grid, _, stages = _factor_and_solve(cfg, cfg.grid, [g], adjoint=False)
-    report.statistic, report.spread = evaluate_statistic(report.v, grid)
-    report.bound_violations = magnitude_violations(
+    statistic, spread = evaluate_statistic(report.v, grid)
+    violations = magnitude_violations(
         report.v, grid, g.sup_norm(cfg.grid.x_bar, cfg.grid.y_bar, cfg.model.b)
     )
     out.mkdir(parents=True, exist_ok=True)
-    solution_to_csv(report.v, grid, out / "solution.csv")
-    summary_to_json(report, out / "summary.json")
-    row = report.summary()
-    row["bound_violations"] = len(report.bound_violations)
+    # 1-based indices, unscaled coordinates; Python floats format fastest
+    x, y, z, s = grid.x.tolist(), grid.y.tolist(), grid.z.tolist(), grid.spec
+    ijk = itertools.product(range(s.I), range(s.J), range(s.K))
+    nodes = (
+        (i + 1, j + 1, k + 1, x[i], y[j], z[k], v) for (i, j, k), v in zip(ijk, report.v.tolist())
+    )
+    _write_csv(out / "solution.csv", "i,j,k,x,y,z,v", nodes)
+    row = {"statistic": statistic, "spread": spread,
+           "residual": report.residual, "iterations": report.iterations}
+    _write_json(out / "summary.json", row)
+    row["bound_violations"] = len(violations)
     write_manifest(out, cfg, [row], time.perf_counter() - t0, stages=stages)
     return row
 
@@ -195,16 +216,13 @@ def run_simulate(cfg: RunConfig, out: Path) -> dict:
         box=(cfg.grid.x_bar, cfg.grid.y_bar),
     )
     if recorder is not None:
-        xs, ys, zs = recorder.arrays()
-        ts = recorder.times(cfg.sim.dt)
-        with open(out / "trajectory.csv", "w") as fh:
-            fh.write("t,x,y,z,phase\n")
-            for m in range(0, len(ts), cfg.record_stride):
-                z = zs[m, 0]
-                fh.write(
-                    f"{ts[m]:.12g},{xs[m, 0]:.12g},{ys[m, 0]:.12g},{z:.12g},"
-                    f"{_phase_of(z, cfg.model.b).value}\n"
-                )
+        picked = slice(None, None, cfg.record_stride)
+        ts = recorder.times(cfg.sim.dt)[picked].tolist()
+        xs, ys, zs = (a[picked, 0].tolist() for a in recorder.arrays())
+        states = (
+            (t, x, y, z, _phase_of(z, cfg.model.b).value) for t, x, y, z in zip(ts, xs, ys, zs)
+        )
+        _write_csv(out / "trajectory.csv", "t,x,y,z,phase", states)
     row = {
         "n_observed": stats.n_observed,
         "n_events": len(stats.events),
@@ -258,16 +276,6 @@ def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
     return rows, weight_diagnostics(w, grid), stages
 
 
-def _write_csv(path: Path, header: str, rows, keys) -> None:
-    """header, then the `keys` of each row: numbers as %.12g, strings as
-    they are."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for r in rows:
-            cells = (r[k] if isinstance(r[k], str) else f"{r[k]:.12g}" for k in keys)
-            fh.write(",".join(cells) + "\n")
-
-
 def _sweep(cfg: RunConfig, out: Path, kind: str):
     t0 = time.perf_counter()
     levels = list(cfg.sweep)
@@ -282,7 +290,7 @@ def _sweep(cfg: RunConfig, out: Path, kind: str):
         csv, header = out / "crossing_sweep.csv", "a1,nu_pde,nu_mc,nu_mc_se,nu_rice,residual"
     else:
         csv, header = out / "serviceability_sweep.csv", "a2,P_pde,P_mc,P_mc_se,residual"
-    _write_csv(csv, header, rows, keys)
+    _write_csv(csv, header, ([r[k] for k in keys] for r in rows))
     _write_plot_script(out, csv.name, kind)
     write_manifest(out, cfg, rows, time.perf_counter() - t0, weights, stages)
     return rows
@@ -369,7 +377,7 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
             )
     out.mkdir(parents=True, exist_ok=True)
     keys = ["axis", "level", "h", "diff", "order"]
-    _write_csv(out / "convergence.csv", ",".join(keys), rows, keys)
+    _write_csv(out / "convergence.csv", ",".join(keys), ([r[k] for k in keys] for r in rows))
     stages = {key: sum(st[key] for st in level_stages) for key in level_stages[0]}
     write_manifest(out, cfg, rows, time.perf_counter() - t0, stages=stages)
     return rows
@@ -402,6 +410,7 @@ def run_cross_validate(cfg: RunConfig, out: Path):
     rice_rows = [compare(r, "rice", r["nu_rice"]) for r in found if r["kind"] == "crossing"]
     out.mkdir(parents=True, exist_ok=True)
     keys = ["kind", "level", "pde", "mc", "mc_se", "abs_diff", "gap_se"]
-    _write_csv(out / "cross_validate.csv", ",".join(keys), rows + rice_rows, keys)
-    write_manifest(out, cfg, rows + rice_rows, time.perf_counter() - t0, weights, stages)
+    table = rows + rice_rows
+    _write_csv(out / "cross_validate.csv", ",".join(keys), ([r[k] for k in keys] for r in table))
+    write_manifest(out, cfg, table, time.perf_counter() - t0, weights, stages)
     return rows

@@ -480,8 +480,11 @@ class CrossingObserver:
         """(value, se): pooled crossings per unit time.
 
         Multi-path: per-path rates with a cross-path standard error.
-        Single path: batch means over groups of consecutive blocks.
+        Single path: batch means over groups of consecutive blocks. Raises
+        DegenerateInput before two rows are observed.
         """
+        if self.n_samples < 2:
+            raise DegenerateInput("need at least 2 observed samples per path")
         n_paths = self.counts.shape[1]
         T = (self.n_samples - 1) * self.dt
         if n_paths > 1:
@@ -526,7 +529,10 @@ class BandObserver:
 
     def probability(self, radius_index: int):
         """(value, se) of the band probability; values sit in [0, 1] exactly
-        and are nondecreasing in the radius on a fixed sample set."""
+        and are nondecreasing in the radius on a fixed sample set. Raises
+        DegenerateInput before any row is observed."""
+        if self.n_samples == 0:
+            raise DegenerateInput("no samples observed")
         n_paths = self.counts.shape[1]
         if n_paths > 1:
             return _pooled_stats(self.counts[radius_index] / self.n_samples)

@@ -30,7 +30,6 @@ and the magnitude diagnostic, still needs a forward solve.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -114,14 +113,6 @@ class SolveReport:
     statistic: float = 0.0
     spread: float = 0.0
     bound_violations: list = field(default_factory=list)
-
-    def summary(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "spread": self.spread,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
 
 
 def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int]):
@@ -535,26 +526,3 @@ def magnitude_violations(
     for i, j, k in zip(*np.nonzero(mask)):
         out.append((int(i) + 1, int(j) + 1, int(k) + 1, float(v3[i, j, k])))
     return out
-
-
-def solution_to_csv(v: np.ndarray, grid: Grid, path) -> None:
-    """Export `i,j,k,x,y,z,v` rows (1-based indices, unscaled coordinates)."""
-    s = grid.spec
-    v3 = np.asarray(v).reshape(s.I, s.J, s.K)
-    x, y, z = grid.x, grid.y, grid.z
-    with open(path, "w") as fh:
-        fh.write("i,j,k,x,y,z,v\n")
-        for i in range(s.I):
-            for j in range(s.J):
-                for k in range(s.K):
-                    fh.write(
-                        f"{i + 1},{j + 1},{k + 1},"
-                        f"{x[i]:.12g},{y[j]:.12g},{z[k]:.12g},{v3[i, j, k]:.12g}\n"
-                    )
-
-
-def summary_to_json(report: SolveReport, path) -> None:
-    """One-line JSON summary {statistic, spread, residual, iterations}."""
-    with open(path, "w") as fh:
-        json.dump(report.summary(), fh)
-        fh.write("\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from bepo import experiments
+from bepo import cli, experiments
 from bepo.cli import main
 from bepo.config import RunConfig, parse_config, serialize_config
 from bepo.errors import NonFiniteState, ParseError, ValidationError
@@ -109,6 +109,19 @@ def test_cli_rejects_bad_solve_settings_before_factoring(tmp_path, capsys, monke
     rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_threads_below_one_before_parsing(tmp_path, capsys, monkeypatch, threads):
+    def never(*args, **kwargs):
+        raise AssertionError("the config was parsed with a rejected --threads")
+
+    monkeypatch.setattr(cli, "parse_config", never)
+    monkeypatch.setattr(spla, "spilu", never)
+    rc = main(["convergence", "--out", str(tmp_path / "o"), "--threads", threads])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --threads")
     assert not (tmp_path / "o").exists()
 
 
@@ -510,6 +523,20 @@ def test_run_convergence_small(tmp_path):
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "axis,level,h,diff,order"
     assert len(lines) == 1 + 9
+
+
+def test_threaded_convergence_matches_serial(tmp_path):
+    from bepo.experiments import run_convergence
+
+    cfg = quick_config("observable.kind = band\nconvergence.n_refinements = 1\n")
+    cfg.experiment = "convergence"
+    outs = {threads: tmp_path / f"t{threads}" for threads in (1, 2)}
+    for threads, out in outs.items():
+        run_convergence(cfg, out, threads)
+    csv = [(out / "convergence.csv").read_bytes() for out in outs.values()]
+    rows = [json.loads((out / "manifest.json").read_text())["rows"] for out in outs.values()]
+    assert csv[0] == csv[1]
+    assert rows[0] == rows[1]
 
 
 def test_run_cross_validate_small(tmp_path):

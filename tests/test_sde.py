@@ -381,6 +381,19 @@ def test_crossing_observer_on_level_samples(sizes, block_counts):
     assert obs.block_counts == block_counts
 
 
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_crossing_observer_needs_two_rows(n_paths):
+    obs = CrossingObserver([0.0], 1e-3, n_paths)
+    obs.update(0.0, *np.ones((3, 1, n_paths)))
+    with pytest.raises(DegenerateInput):
+        obs.frequency(0)
+
+
+def test_band_observer_needs_a_row():
+    with pytest.raises(DegenerateInput):
+        BandObserver([1.0], 2).probability(0)
+
+
 def test_cross_path_se_shrinks_with_more_paths():
     def se_of(n_paths):
         cfg = SimConfig(dt=1e-3, n_steps=20_000, burn_in=200, seed=1, n_paths=n_paths)

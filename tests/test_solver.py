@@ -8,7 +8,9 @@ import pytest
 
 import bepo.solver as solver_module
 from bepo.assembly import assemble_matrix, assemble_rhs
+from bepo.config import parse_config
 from bepo.errors import NoConvergence, NonFiniteState
+from bepo.experiments import run_solve
 from bepo.grid import GridSpec, build_grid
 from bepo.model import ForceSpec, ModelParams
 from bepo.observables import constant_observable, mollified_crossing_speed, plastic_band
@@ -19,9 +21,7 @@ from bepo.solver import (
     invariant_weights,
     magnitude_violations,
     rice_rate,
-    solution_to_csv,
     solve_resolvent,
-    summary_to_json,
     weight_diagnostics,
 )
 
@@ -123,18 +123,17 @@ def test_magnitude_violations_locates_nodes():
     assert magnitude_violations(v, grid, sup_g=2.0) == []
 
 
-def test_exports(tmp_path, grid9, matrix9):
-    matrix9.rhs = assemble_rhs(grid9, constant_observable(1.0), 1e-2)
-    rep = solve_resolvent(matrix9)
-    rep.statistic, rep.spread = evaluate_statistic(rep.v, grid9)
-    csv = tmp_path / "solution.csv"
-    solution_to_csv(rep.v, grid9, csv)
-    lines = csv.read_text().splitlines()
+def test_exports(tmp_path):
+    cfg = parse_config(
+        "grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n"
+        "observable.kind = constant\nobservable.c = 1.0\n",
+        experiment="solve",
+    )
+    run_solve(cfg, tmp_path)
+    lines = (tmp_path / "solution.csv").read_text().splitlines()
     assert lines[0] == "i,j,k,x,y,z,v"
     assert len(lines) == 1 + 9**3
-    js = tmp_path / "summary.json"
-    summary_to_json(rep, js)
-    data = json.loads(js.read_text())
+    data = json.loads((tmp_path / "summary.json").read_text())
     assert set(data) == {"statistic", "spread", "residual", "iterations"}
     assert data["statistic"] == pytest.approx(1.0, abs=1e-9)
 
