@@ -78,6 +78,8 @@ class RunConfig:
             )
         if self.record_stride < 0:
             raise ValueError(f"output.record_stride must be >= 0, got {self.record_stride}")
+        if self.experiment == "simulate" and self.sim.n_paths != 1:
+            raise ValueError(f"simulate runs one path, got sim.n_paths = {self.sim.n_paths}")
         # a crossing rate divides by the time between the first and the last
         # observed sample, as crossing_frequency_mc does
         observed = self.sim.n_steps - self.sim.effective_burn_in

@@ -23,7 +23,8 @@ scalar step_euler, which stays as the oracle.
 
 Observers consume blocks of states shaped (steps, n_paths) after burn-in.
 The blocks are views of buffers that the next block overwrites, so an
-observer copies whatever it keeps.
+observer copies whatever it keeps. Their standard errors are taken across
+independent paths; a single path reports NaN.
 """
 
 from __future__ import annotations
@@ -325,9 +326,10 @@ def simulate_trajectory(
     Identical seed implies a bit-identical trajectory. `box = (x_bar, y_bar)`
     additionally reports the fraction of observed samples outside the
     truncation box (a diagnostic for the PDE route's domain choice).
+    Raises DegenerateInput unless cfg.n_paths is 1.
     """
     if cfg.n_paths != 1:
-        cfg = dataclasses.replace(cfg, n_paths=1)
+        raise DegenerateInput(f"a trajectory run has one path, got n_paths = {cfg.n_paths}")
     phase_obs = PhaseEventObserver(p.b, cfg.dt)
     obs = list(observers) + [phase_obs]
     box_obs = None
@@ -391,7 +393,8 @@ def ergodic_average_mc(g, x_samples, y_samples, z_samples, n_batches: int = 50):
     """Time average of g along the samples with a batch-means standard error.
 
     Returns (value, se). Batches are contiguous and as equal as possible;
-    a constant observable yields se = 0 exactly.
+    a constant observable yields se = 0 exactly. A test oracle only: batch
+    means along one path under-report the band's spread across paths.
     """
     x_samples = np.asarray(x_samples, dtype=np.float64)
     if x_samples.size == 0:
@@ -407,34 +410,21 @@ def ergodic_average_mc(g, x_samples, y_samples, z_samples, n_batches: int = 50):
 
 
 def _pooled_stats(per_path: np.ndarray):
-    """Mean and standard error across independent per-path estimates."""
+    """Mean and standard error across per-path estimates (NaN for one path)."""
     m = float(per_path.mean())
     if len(per_path) < 2:
-        return m, 0.0
+        return m, math.nan
     return m, float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
 
 
 # --- streaming observers for the estimators ----------------------------------
 
 
-def _batch_se(block_values, block_sizes, per_sample_scale):
-    """Batch-means SE from per-block totals grouped into <= 50 batches."""
-    blocks = np.asarray(block_values, dtype=np.float64)
-    sizes = np.asarray(block_sizes, dtype=np.float64)
-    nb = min(50, len(blocks))
-    if nb < 2:
-        return 0.0
-    groups = np.array([c.sum() for c in np.array_split(blocks, nb)])
-    group_sizes = np.array([c.sum() for c in np.array_split(sizes, nb)])
-    rates = groups / (group_sizes * per_sample_scale)
-    return float(rates.std(ddof=1) / np.sqrt(nb))
-
-
 class CrossingObserver:
     """Per-path crossing counts of several levels, streamed in blocks.
 
     The first observed row initializes the sign carry without counting, so
-    the totals match crossing_frequency_mc on the concatenated samples.
+    each path's count matches crossing_frequency_mc on that path's samples.
     """
 
     def __init__(self, levels, dt: float, n_paths: int):
@@ -442,18 +432,15 @@ class CrossingObserver:
         self.dt = dt
         self.counts = np.zeros((len(self.levels), n_paths), dtype=np.int64)
         self._carry = np.zeros((len(self.levels), n_paths), dtype=np.int8)
-        self._started = False
         self.n_samples = 0
-        self.block_counts = [[] for _ in self.levels]
-        self.block_sizes = []
         # reused across blocks: deviations, and signs whose row 0 is the carry
         self._dev = np.empty((0, n_paths))
         self._signs = np.empty((1, n_paths), dtype=np.int8)
 
     def update(self, t0, xs, ys, zs):
         nb = xs.shape[0]
+        started = self.n_samples > 0
         self.n_samples += nb
-        self.block_sizes.append(nb)
         if self._dev.shape[0] < nb:
             self._dev = np.empty(xs.shape)
             self._signs = np.empty((nb + 1, xs.shape[1]), dtype=np.int8)
@@ -463,35 +450,25 @@ class CrossingObserver:
             np.subtract(xs, a1, out=dev)
             np.sign(dev, out=s[1:], casting="unsafe")
             # before the first row there is nothing to cross from
-            s[0] = self._carry[li] if self._started else s[1]
+            s[0] = self._carry[li] if started else s[1]
             if not s[1:].all():
                 # a sample exactly on the level adopts the previous sign
                 for t in np.flatnonzero(~s[1:].all(axis=1)):
                     np.copyto(s[t + 1], s[t], where=s[t + 1] == 0)
             # after the fill a zero only follows a zero, so every change
             # of sign ends on a nonzero sign and is a crossing
-            hits = np.count_nonzero(s[1:] != s[:-1], axis=0)
-            self.counts[li] += hits
-            self.block_counts[li].append(int(hits.sum()))
+            self.counts[li] += np.count_nonzero(s[1:] != s[:-1], axis=0)
             self._carry[li] = s[nb]
-        self._started = True
 
     def frequency(self, level_index: int):
-        """(value, se): pooled crossings per unit time.
-
-        Multi-path: per-path rates with a cross-path standard error.
-        Single path: batch means over groups of consecutive blocks. Raises
+        """(value, se): the mean of the per-path crossing rates and its
+        standard error across paths (NaN for one path). Raises
         DegenerateInput before two rows are observed.
         """
         if self.n_samples < 2:
             raise DegenerateInput("need at least 2 observed samples per path")
-        n_paths = self.counts.shape[1]
         T = (self.n_samples - 1) * self.dt
-        if n_paths > 1:
-            return _pooled_stats(self.counts[level_index] / T)
-        value = float(self.counts[level_index].sum() / T)
-        se = _batch_se(self.block_counts[level_index], self.block_sizes, self.dt)
-        return value, se
+        return _pooled_stats(self.counts[level_index] / T)
 
 
 class BandObserver:
@@ -504,8 +481,6 @@ class BandObserver:
         self.radii = list(radii)
         self.counts = np.zeros((len(self.radii), n_paths), dtype=np.int64)
         self.n_samples = 0
-        self.block_counts = [[] for _ in self.radii]
-        self.block_sizes = []
         # reused across blocks: |x - z| and the in-band mask
         self._dist = np.empty((0, n_paths))
         self._inside = np.empty((0, n_paths), dtype=bool)
@@ -513,7 +488,6 @@ class BandObserver:
     def update(self, t0, xs, ys, zs):
         nb = xs.shape[0]
         self.n_samples += nb
-        self.block_sizes.append(nb)
         if self._dist.shape[0] < nb:
             self._dist = np.empty(xs.shape)
             self._inside = np.empty(xs.shape, dtype=bool)
@@ -523,22 +497,15 @@ class BandObserver:
         np.abs(d, out=d)
         for ri, a2 in enumerate(self.radii):
             np.less_equal(d, a2, out=inside)
-            per_path = inside.sum(axis=0)
-            self.counts[ri] += per_path
-            self.block_counts[ri].append(int(per_path.sum()))
+            self.counts[ri] += inside.sum(axis=0)
 
     def probability(self, radius_index: int):
-        """(value, se) of the band probability; values sit in [0, 1] exactly
-        and are nondecreasing in the radius on a fixed sample set. Raises
-        DegenerateInput before any row is observed."""
+        """(value, se): the mean of the per-path band fractions (in [0, 1],
+        nondecreasing in the radius) and its standard error across paths
+        (NaN for one path). Raises DegenerateInput before any row."""
         if self.n_samples == 0:
             raise DegenerateInput("no samples observed")
-        n_paths = self.counts.shape[1]
-        if n_paths > 1:
-            return _pooled_stats(self.counts[radius_index] / self.n_samples)
-        value = float(self.counts[radius_index].sum() / self.n_samples)
-        se = _batch_se(self.block_counts[radius_index], self.block_sizes, 1.0)
-        return value, se
+        return _pooled_stats(self.counts[radius_index] / self.n_samples)
 
 
 class MeanObserver:
@@ -589,9 +556,12 @@ def lyapunov_check_mc(
     """Check E[V(X(t), Y(t))] <= V(init) + C/C1 at the checkpoints.
 
     Uses a zero burn-in run (the bound covers the transient) and flags a
-    checkpoint when mean - 3*se exceeds the bound. n_paths >= 100 is
-    expected for the statistics to mean anything.
+    checkpoint when mean - 3*se exceeds the bound, se being across paths.
+    Raises DegenerateInput below 2 paths; n_paths >= 100 is expected for
+    the statistics to mean anything.
     """
+    if cfg.n_paths < 2:
+        raise DegenerateInput(f"the energy check needs >= 2 paths, got {cfg.n_paths}")
     checkpoint_times = sorted(checkpoint_times)
     steps = [max(1, int(round(t / cfg.dt))) for t in checkpoint_times]
     n_steps = max(steps)

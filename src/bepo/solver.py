@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,9 +110,6 @@ class SolveReport:
     v: np.ndarray
     residual: float
     iterations: int
-    statistic: float = 0.0
-    spread: float = 0.0
-    bound_violations: list = field(default_factory=list)
 
 
 def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int]):

@@ -140,8 +140,12 @@ def test_monte_carlo_off_needs_no_observed_samples():
         ("convergence", "convergence.n_refinements = -1\n", []),
         ("crossing-sweep", "sweep.values = 0\nsim.n_steps = 100\nsim.burn_in = 99\n", []),
         ("cross-validate", "sim.n_steps = 100\nsim.burn_in = 99\n", []),
+        ("simulate", "sim.n_paths = 8\n", []),
     ],
-    ids=["negative-seed", "negative-refinements", "one-sample-sweep", "one-sample-cross"],
+    ids=[
+        "negative-seed", "negative-refinements", "one-sample-sweep", "one-sample-cross",
+        "several-paths-simulate",
+    ],
 )
 def test_cli_rejects_bad_run_settings_before_any_work(
     tmp_path, capsys, monkeypatch, experiment, text, extra
@@ -606,6 +610,51 @@ def test_sweeps_and_cross_validate_agree_bit_for_bit(tmp_path):
     assert (service["level"], service["pde"], service["mc"], service["mc_se"]) == (
         band["level"], band["pde"], band["mc"], band["mc_se"]
     )
+
+
+# (mc, mc_se) per level of 4-path quick_config sweeps: the observers' pooling
+# across paths must keep them bit for bit
+FOUR_PATH_CROSSING = [
+    (0.2020304055760392, 0.035714267447171454),
+    (0.1515228041820294, 0.029160577260953877),
+]
+FOUR_PATH_BAND = [
+    (0.524040404040404, 0.15797709751883487),
+    (0.6593181818181819, 0.15976616555247639),
+]
+
+
+def test_four_path_sweeps_are_pinned(tmp_path):
+    cfg = quick_config("observable.eps0 = 1.0\n")
+    cfg.sweep = (-0.5, 0.5)
+    crossing = run_crossing_sweep(cfg, tmp_path / "crossing")
+    cfg.sweep = (0.25, 0.5)
+    band = run_serviceability_sweep(cfg, tmp_path / "band")
+    assert [(r["mc"], r["mc_se"]) for r in crossing] == FOUR_PATH_CROSSING
+    assert [(r["mc"], r["mc_se"]) for r in band] == FOUR_PATH_BAND
+
+
+def test_one_path_cross_validate_reports_no_standard_error(tmp_path):
+    """One path has no spread across paths: mc keeps its value, and mc_se
+    and gap_se are NaN in the CSV and null in the manifest."""
+    from bepo.experiments import run_cross_validate
+
+    cfg = parse_config(
+        "grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\nsim.n_steps = 20000\n"
+        "observable.eps0 = 1.0\nobservable.a2 = 0.25\nsweep.values = -0.5, 0.5\n"
+    )
+    assert cfg.sim.n_paths == 1
+    rows = run_cross_validate(cfg, tmp_path)
+    assert [r["mc"] for r in rows] == [0.252538006970049, 0.1010152027880196, 0.9628282828282828]
+    lines = (tmp_path / "cross_validate.csv").read_text().splitlines()
+    assert lines[0] == "kind,level,pde,mc,mc_se,abs_diff,gap_se"
+    for line in lines[1:]:
+        mc, mc_se, abs_diff, gap_se = line.split(",")[3:]
+        assert (mc_se, gap_se) == ("nan", "nan")
+        assert np.isfinite(float(mc)) and np.isfinite(float(abs_diff))
+    for r in json.loads((tmp_path / "manifest.json").read_text())["rows"]:
+        assert r["mc_se"] is None and r["gap_se"] is None
+        assert r["mc"] is not None and r["abs_diff"] is not None
 
 
 def test_frozen_deterministic_path_has_zero_crossings(tmp_path):

@@ -219,6 +219,11 @@ def test_nonfinite_state_raises():
         simulate_trajectory(cfg, MODEL)
 
 
+def test_trajectory_run_rejects_several_paths():
+    with pytest.raises(DegenerateInput, match="one path"):
+        simulate_trajectory(SimConfig(n_steps=100, n_paths=2), MODEL)
+
+
 def test_outside_box_fraction():
     cfg = SimConfig(dt=1e-3, n_steps=20_000, burn_in=0, seed=2)
     stats = simulate_trajectory(cfg, MODEL, box=(3.5, 3.5))
@@ -328,9 +333,13 @@ def test_observers_match_estimators_multi_block():
     simulate_paths(cfg, MODEL, [cobs, bobs, rec], block=777)
     xs, ys, zs = rec.arrays()
     for li, a1 in enumerate(levels):
-        assert cobs.frequency(li)[0] == crossing_frequency_mc(xs[:, 0], cfg.dt, a1)
+        value, se = cobs.frequency(li)
+        assert value == crossing_frequency_mc(xs[:, 0], cfg.dt, a1)
+        assert math.isnan(se)  # one path has no spread across paths
     for ri, a2 in enumerate(radii):
-        assert bobs.probability(ri)[0] == serviceability_mc(xs[:, 0], zs[:, 0], a2)
+        value, se = bobs.probability(ri)
+        assert value == serviceability_mc(xs[:, 0], zs[:, 0], a2)
+        assert math.isnan(se)
 
 
 # rows are samples, columns paths; levels 0.5 and -1.0 are hit exactly
@@ -368,17 +377,20 @@ def test_crossing_observer_on_level_samples(sizes, block_counts):
     dt = 1.0
     obs = CrossingObserver(levels, dt, PLANTED.shape[1])
     start = 0
+    totals = [obs.counts.sum(axis=1)]
     for nb in sizes:
         rows = PLANTED[start : start + nb]
         obs.update(start * dt, rows, rows, rows)
         start += nb
+        totals.append(obs.counts.sum(axis=1))
     assert start == len(PLANTED)
     T = (len(PLANTED) - 1) * dt
     for li, a1 in enumerate(levels):
         for ip in range(PLANTED.shape[1]):
             assert obs.counts[li, ip] / T == crossing_frequency_mc(PLANTED[:, ip], dt, a1)
     assert obs.counts.tolist() == [[4, 2, 0, 6], [0, 0, 0, 3], [0, 0, 0, 0]]
-    assert obs.block_counts == block_counts
+    # each block adds the crossings that end in it, carried across boundaries
+    assert np.diff(totals, axis=0).T.tolist() == block_counts
 
 
 @pytest.mark.parametrize("n_paths", [1, 3])
@@ -414,6 +426,13 @@ def test_lyapunov_check_zero_noise_origin():
     report = lyapunov_check_mc(cfg, p, r, checkpoint_times=[0.1, 0.5])
     assert report.means == [0.0, 0.0]
     assert not report.violated
+
+
+def test_lyapunov_check_needs_two_paths():
+    r = lyapunov_constants(MODEL)
+    cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=1, seed=0)
+    with pytest.raises(DegenerateInput, match="2 paths"):
+        lyapunov_check_mc(cfg, MODEL, r, checkpoint_times=[0.1])
 
 
 def test_lyapunov_bound_uses_initial_energy():
