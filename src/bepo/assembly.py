@@ -1,6 +1,6 @@
 """Assembly of the sparse resolvent system M v = g on the scaled grid.
 
-Equation rows (2 <= j <= J-1) discretize
+Equation rows (0 < j < J-1, node indices counted from 0) discretize
 
     v - [ lam*sigma^2/2 * d2_yt + beta_t * up_yt + (yt/lam) * up_xt
           + (yt/lam) * up_zt ] v = g
@@ -8,7 +8,7 @@ Equation rows (2 <= j <= J-1) discretize
 with second-order upwind advection that falls back to first order one node
 away from each face, and one-sided second-order stencils pointing inward on
 the xt and zt faces themselves (no outward flux: the advected information
-propagates inward only). Rows with j in {1, J} are two-point Neumann rows
+propagates inward only). Rows with j in {0, J-1} are two-point Neumann rows
 enforcing zero yt-derivative, with zero right-hand side.
 
 `assemble_matrix` emits the closed-form entries case by case, each into the
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidSpec
-from .grid import Grid
+from .grid import Grid, GridSpec
 from .model import ModelParams, drift_beta
 from .observables import Observable
 
@@ -83,6 +83,17 @@ def _merge_triplets(n, rows, cols, vals) -> sp.csr_matrix:
     return csr.copy()
 
 
+def _checked_spec(grid: Grid, lam: float, p: ModelParams | None = None) -> GridSpec:
+    """The grid's spec, once lam and, given the model, its plastic bound b
+    are checked against it: the z half-width of the box is the spec's b."""
+    s = grid.spec
+    if lam != s.lam:
+        raise InvalidSpec(f"lam={lam} does not match grid lam={s.lam}")
+    if p is not None and p.b != s.b:
+        raise InvalidSpec(f"model b={p.b} does not match grid b={s.b}")
+    return s
+
+
 def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     """Closed-form row assembly of M, one stencil diagonal at a time.
 
@@ -93,18 +104,13 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     Returns a SparseSystem with a zero rhs; assemble_rhs builds the
     right-hand side.
     """
-    s = grid.spec
-    if lam != s.lam:
-        raise InvalidSpec(f"lam={lam} does not match grid lam={s.lam}")
-    I, J, K = s.I, s.J, s.K
+    s = _checked_spec(grid, lam, p)
+    I, J, K = s.shape
     dx, dy, dz = s.dx, s.dy, s.dz
-    n = I * J * K
+    n = s.n_nodes
 
-    # 0-based index grids over all nodes
-    iv, jv, kv = np.meshgrid(
-        np.arange(I), np.arange(J), np.arange(K), indexing="ij"
-    )
-    eq = (jv >= 1) & (jv <= J - 2)  # equation rows: 2 <= j <= J-1 (1-based)
+    iv, jv, kv = grid.node_indices()
+    eq = (jv >= 1) & (jv <= J - 2)  # equation rows
 
     # advection speeds at each node (unscaled): yt/lam for xt,zt; beta for yt
     x_un = grid.x[iv]
@@ -180,7 +186,7 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     # diagonal of every equation row (the emit helper applies the eq mask)
     emit(np.ones_like(full_j), 0, 0, 0, diag)
 
-    # Neumann rows at j = 1 and j = J
+    # Neumann rows at j = 0 and j = J-1
     for j0, sign, nb in ((0, -1.0, +1), (J - 1, +1.0, -1)):
         band(0)[:, j0, :] = sign / dy
         band(nb * K)[:, j0, :] = -sign / dy
@@ -198,19 +204,7 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     # leaves data and indices as views of buffers sized for every band slot,
     # about 1.8 times larger; the copy lets those go
     matrix = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr().copy()
-    return SparseSystem(shape=(I, J, K), matrix=matrix, rhs=np.zeros(n))
-
-
-def _dual_cell_bounds(count: int, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled bounds of each node's dual cell on [-half, half], clipped.
-
-    Integer offsets times the unscaled spacing, never xt/lam, so the bounds
-    negate bit-exactly under reflection and do not depend on lam.
-    """
-    n = (count - 1) // 2
-    offsets = np.arange(count, dtype=np.float64) - n
-    h = 2.0 * half / (count - 1)
-    return np.maximum(offsets - 0.5, -n) * h, np.minimum(offsets + 0.5, n) * h
+    return SparseSystem(shape=s.shape, matrix=matrix, rhs=np.zeros(n))
 
 
 def _band_cell_means(x0, x1, z0, z1, a2: float) -> np.ndarray:
@@ -241,8 +235,6 @@ def assemble_rhs(grid: Grid, g, lam: float) -> np.ndarray:
     """Dense right-hand side, 0 at Neumann rows.
 
     g is an Observable (or any vectorized callable of unscaled (x, y, z)),
-    or a pre-tabulated array of node values in grid order (research use;
-    no sup-norm diagnostics apply to tabulated fields). A general g is
     sampled at the unscaled node coordinates. A band observable instead
     gives each row the exact mean of its indicator over the node's dual
     cell [x +- dx/2] x [z +- dz/2] (clipped to the box): point samples of
@@ -251,29 +243,18 @@ def assemble_rhs(grid: Grid, g, lam: float) -> np.ndarray:
     lines without smoothing. A zero-width band (a2 = 0) has zero area and
     gives a zero right-hand side.
     """
-    s = grid.spec
-    if lam != s.lam:
-        raise InvalidSpec(f"lam={lam} does not match grid lam={s.lam}")
-    iv, jv, kv = np.meshgrid(
-        np.arange(s.I), np.arange(s.J), np.arange(s.K), indexing="ij"
-    )
+    s = _checked_spec(grid, lam)
     if isinstance(g, Observable) and g.kind == "band":
-        x0, x1 = _dual_cell_bounds(s.I, s.x_bar)
-        z0, z1 = _dual_cell_bounds(s.K, s.b)
+        x0, x1 = grid.dual_cells("x")
+        z0, z1 = grid.dual_cells("z")
         means = _band_cell_means(
             x0[:, None], x1[:, None], z0[None, :], z1[None, :], g.params["a2"]
         )
         vals = np.repeat(means[:, None, :], s.J, axis=1)
-    elif callable(g):
-        vals = np.asarray(g(grid.x[iv], grid.y[jv], grid.z[kv]), dtype=np.float64)
     else:
-        vals = np.asarray(g, dtype=np.float64)
-        if vals.size != s.n_nodes:
-            raise InvalidSpec(
-                f"tabulated field has {vals.size} values, grid has {s.n_nodes} nodes"
-            )
-        vals = vals.reshape(s.I, s.J, s.K).copy()
-    vals[(jv == 0) | (jv == s.J - 1)] = 0.0
+        iv, jv, kv = grid.node_indices()
+        vals = np.asarray(g(grid.x[iv], grid.y[jv], grid.z[kv]), dtype=np.float64)
+    vals[:, [0, -1], :] = 0.0
     return vals.ravel()
 
 
@@ -326,13 +307,11 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     Columns of M are (M e) for unit vectors e, with the operator evaluated
     only on the rows inside the stencil envelope of the perturbed node.
     """
-    s = grid.spec
-    if lam != s.lam:
-        raise InvalidSpec(f"lam={lam} does not match grid lam={s.lam}")
-    I, J, K = s.I, s.J, s.K
+    s = _checked_spec(grid, lam, p)
+    I, J, K = s.shape
     dx, dy, dz = s.dx, s.dy, s.dz
     diff = lam * p.sigma**2 / 2.0
-    n = I * J * K
+    n = s.n_nodes
 
     def row_value(v, i0, j0, k0):
         """(M v) at one node, from the operator definitions."""
@@ -341,7 +320,7 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         if j0 == J - 1:
             return _d_backward(v[i0, :, k0], J - 1, dy)
         beta = drift_beta(grid.x[i0], grid.y[j0], grid.z[k0], p)
-        c = grid.y[j0]  # yt/lam
+        c = grid.y[j0]  # the x and z advection speed
         lv = (
             diff * _d_second(v[i0, :, k0], j0, dy)
             + _upwind(v[i0, :, k0], j0, beta, dy, J)
@@ -373,4 +352,4 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         np.asarray(cols_l, dtype=np.int64),
         np.asarray(vals_l, dtype=np.float64),
     )
-    return SparseSystem(shape=(I, J, K), matrix=matrix, rhs=np.zeros(n))
+    return SparseSystem(shape=s.shape, matrix=matrix, rhs=np.zeros(n))

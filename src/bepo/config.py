@@ -115,7 +115,6 @@ _SCHEMA = {
     "solver.max_iters": int,
     "solver.restart": int,
     "solver.drop_tol": float,
-    "solver.fill_factor": float,
     "solver.polish_factor": float,
     "sim.dt": float,
     "sim.n_steps": int,

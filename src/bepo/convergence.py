@@ -80,14 +80,14 @@ def sup_diff_on_common(
 ):
     """max |v_coarse - v_fine| over the coarse nodes.
 
-    Coarse node m on the refined axis coincides with fine node 2m (0-based),
+    Coarse node m on the refined axis coincides with fine node 2m,
     bit-exactly; no interpolation ever happens. Fields are flat vectors in
     the grid's linear ordering. interior_only drops the Neumann sheets
-    (j = 1 and j = J) from the comparison.
+    (j = 0 and j = J-1) from the comparison.
     """
     axis = _refined_axis(spec_coarse, spec_fine)
-    vc = np.asarray(v_coarse).reshape(spec_coarse.I, spec_coarse.J, spec_coarse.K)
-    vf = np.asarray(v_fine).reshape(spec_fine.I, spec_fine.J, spec_fine.K)
+    vc = spec_coarse.field(v_coarse)
+    vf = spec_fine.field(v_fine)
     sl = [slice(None)] * 3
     sl["xyz".index(axis)] = slice(None, None, 2)
     diff = np.abs(vc - vf[tuple(sl)])

@@ -96,7 +96,7 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
     for eps0 in {params["eps0"] for params in crossing}:
-        check_resolution(eps0, 2.0 * spec.x_bar / (spec.I - 1))
+        check_resolution(eps0, spec.h("x"))
     for params in crossing:
         if abs(params["a1"]) > spec.x_bar:
             warnings.warn(
@@ -191,7 +191,7 @@ def run_solve(cfg: RunConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     # 1-based indices, unscaled coordinates; Python floats format fastest
     x, y, z, s = grid.x.tolist(), grid.y.tolist(), grid.z.tolist(), grid.spec
-    ijk = itertools.product(range(s.I), range(s.J), range(s.K))
+    ijk = itertools.product(*map(range, s.shape))
     nodes = (
         (i + 1, j + 1, k + 1, x[i], y[j], z[k], v) for (i, j, k), v in zip(ijk, report.v.tolist())
     )
@@ -345,11 +345,8 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
     for axis in ("x", "y", "z"):
         ladder = refinement_ladder(cfg.grid, axis, cfg.n_refinements)
         specs = list(ladder.levels)
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = list(pool.map(solve_on, specs[1:]))
-        else:
-            solved = [solve_on(spec) for spec in specs[1:]]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            solved = list(pool.map(solve_on, specs[1:]))
         reports = [base] + [report for report, _ in solved]
         level_stages += [stages for _, stages in solved]
         diffs = [

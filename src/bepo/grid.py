@@ -1,12 +1,16 @@
-"""Scaled, truncated 3D finite-difference grid.
+"""Truncated 3D finite-difference grid: the one owner of the node layout.
 
-The working coordinates are the scaled ones, (xt, yt, zt) = lam*(x, y, z),
-so the box is [-lam*x_bar, lam*x_bar] x [-lam*y_bar, lam*y_bar] x
-[-lam*b, lam*b] and all spacings are O(lam). Unscaled coordinates are
-recovered by dividing by lam.
+The box is [-x_bar, x_bar] x [-y_bar, y_bar] x [-b, b], with b the plastic
+bound. A `Grid` keeps the unscaled node coordinates x, y, z. The resolvent
+equation is discretized in the scaled coordinates lam*(x, y, z), so the
+spacings `GridSpec.dx`, `dy`, `dz` are the scaled ones, O(lam); `h` gives
+the unscaled spacing of an axis.
 
-Node indices (i, j, k) are 1-based; node (i, j, k) is entry
-(k-1) + (j-1)*K + (i-1)*J*K of a field vector, k fastest.
+Node indices (i, j, k) are 0-based; node (i, j, k) is entry
+(i*J + j)*K + k of a field vector, k fastest, and `GridSpec.field` views a
+field as an (I, J, K) array. The 1-based indices of the outputs
+(`solution.csv` and the tuples of `magnitude_violations`) add 1 where they
+are written.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 from .errors import InvalidSpec
 
 __all__ = ["GridSpec", "Grid", "build_grid"]
+
+# axis -> (node count field, half-width field)
+_AXES = {"x": ("I", "x_bar"), "y": ("J", "y_bar"), "z": ("K", "b")}
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,27 @@ class GridSpec:
     def dz(self) -> float:
         return 2.0 * self.lam * self.b / (self.K - 1)
 
+    def h(self, axis: str) -> float:
+        """Unscaled spacing of one axis ("x", "y" or "z"): 2*half/(count-1)."""
+        count, half = (getattr(self, name) for name in _AXES[axis])
+        return 2.0 * half / (count - 1)
+
     @property
     def n_nodes(self) -> int:
         return self.I * self.J * self.K
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(I, J, K), the shape of a field."""
+        return (self.I, self.J, self.K)
+
+    def field(self, v) -> np.ndarray:
+        """v as an (I, J, K) array indexed by node; a view of a flat array."""
+        return np.asarray(v).reshape(self.shape)
+
 
 def _axis(count: int, spacing: float) -> np.ndarray:
-    # (i - 1 - (count-1)/2)*spacing: same real values as -half + (i-1)*spacing
+    # (i - (count-1)/2)*spacing: same real values as -half + i*spacing
     # but with an exact 0.0 at the center and bit-exact negation symmetry,
     # which the reflection and nested-refinement invariants rely on.
     offsets = np.arange(count, dtype=np.float64) - (count - 1) // 2
@@ -73,39 +94,44 @@ def _axis(count: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable realized grid: spec plus scaled coordinate axes."""
+    """Immutable realized grid: spec plus unscaled coordinate axes."""
 
     spec: GridSpec
-    xt: np.ndarray  # scaled x coordinates, length I
-    yt: np.ndarray  # length J
-    zt: np.ndarray  # length K
-
-    @property
-    def x(self) -> np.ndarray:
-        """Unscaled x coordinates xt/lam."""
-        return self.xt / self.spec.lam
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.yt / self.spec.lam
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.zt / self.spec.lam
+    x: np.ndarray  # unscaled x coordinates, length I
+    y: np.ndarray  # length J
+    z: np.ndarray  # length K
 
     @property
     def center(self) -> tuple[int, int, int]:
-        """1-based indices of the origin node."""
+        """(i, j, k) of the origin node, where every statistic is read."""
         s = self.spec
-        return ((s.I + 1) // 2, (s.J + 1) // 2, (s.K + 1) // 2)
+        return ((s.I - 1) // 2, (s.J - 1) // 2, (s.K - 1) // 2)
+
+    def node_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The i, j and k of every node, as three arrays of the field shape."""
+        return np.meshgrid(*(np.arange(n) for n in self.spec.shape), indexing="ij")
+
+    def dual_cells(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
+        """Unscaled bounds of each node's dual cell along one axis, clipped
+        to the box.
+
+        Integer offsets times the unscaled spacing, never the coordinates,
+        so the bounds negate bit-exactly under reflection and do not depend
+        on lam.
+        """
+        count = getattr(self.spec, _AXES[axis][0])
+        n = (count - 1) // 2
+        offsets = np.arange(count, dtype=np.float64) - n
+        h = self.spec.h(axis)
+        return np.maximum(offsets - 0.5, -n) * h, np.minimum(offsets + 0.5, n) * h
 
 
 def build_grid(spec: GridSpec) -> Grid:
-    """Realize coordinate axes for a valid spec."""
+    """Realize the unscaled coordinate axes of a valid spec: each is the
+    scaled axis, offsets times dx, dy or dz, divided by lam."""
     return Grid(
         spec=spec,
-        xt=_axis(spec.I, spec.dx),
-        yt=_axis(spec.J, spec.dy),
-        zt=_axis(spec.K, spec.dz),
+        x=_axis(spec.I, spec.dx) / spec.lam,
+        y=_axis(spec.J, spec.dy) / spec.lam,
+        z=_axis(spec.K, spec.dz) / spec.lam,
     )
-

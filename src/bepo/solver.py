@@ -67,8 +67,6 @@ class SolverConfig:
                     block-triangular half (D+U, and D+L when it is not the
                     mirror of D+U; y-line order) drops an entry; 0 factors
                     exactly
-    fill_factor   : bound on the fill of each incomplete LU, as a multiple
-                    of its half's nonzeros
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -79,7 +77,6 @@ class SolverConfig:
     max_iters: int = 200
     restart: int = 60
     drop_tol: float = 1e-3
-    fill_factor: float = 10.0
     polish_factor: float = 1.0
 
     def __post_init__(self):
@@ -91,12 +88,6 @@ class SolverConfig:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
         if not 0.0 <= self.drop_tol <= 1.0:
             raise ValueError(f"drop_tol must be in [0, 1], got {self.drop_tol}")
-        # SuperLU sizes its first workspace as fill_factor times the input's
-        # nonzeros; one that rounds to zero never grows, and spilu hangs
-        if not 1.0 <= self.fill_factor < math.inf:
-            raise ValueError(
-                f"fill_factor must be finite and >= 1, got {self.fill_factor}"
-            )
         if not 0.0 < self.polish_factor <= 1.0:
             raise ValueError(
                 f"polish_factor must be in (0, 1], got {self.polish_factor}"
@@ -119,8 +110,7 @@ def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int]):
     Gathering the rows of A in perm order and renaming the columns gives the
     CSR of P A P^T; the CSC conversion sorts each column's rows.
     """
-    I, J, K = shape
-    perm = np.arange(I * J * K, dtype=np.int32).reshape(I, J, K).transpose(0, 2, 1).ravel()
+    perm = np.arange(A.shape[0], dtype=np.int32).reshape(shape).transpose(0, 2, 1).ravel()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.int32)
     rows = A[perm]
@@ -190,7 +180,6 @@ def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
         return spla.spilu(
             half,
             drop_tol=cfg.drop_tol,
-            fill_factor=cfg.fill_factor,
             drop_rule="basic",
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
@@ -413,20 +402,15 @@ def solve_direct(sys: SparseSystem) -> SolveReport:
     return SolveReport(v=v, residual=residual, iterations=0)
 
 
-def _center(grid: Grid) -> tuple[int, int, int]:
-    """0-based (i, j, k) of the origin node, where every statistic is read."""
-    return tuple(c - 1 for c in grid.center)
-
-
 def evaluate_statistic(v: np.ndarray, grid: Grid) -> tuple[float, float]:
     """Center-node value and the max-min spread over the central half-box.
 
-    The half-box is |xt| <= lam*x_bar/2 and |yt| <= lam*y_bar/2 (all k),
-    selected by integer index offsets so no float fuzz enters.
+    The half-box is |x| <= x_bar/2 and |y| <= y_bar/2 (all k), selected by
+    integer index offsets so no float fuzz enters.
     """
     s = grid.spec
-    v3 = np.asarray(v).reshape(s.I, s.J, s.K)
-    ci, cj, ck = _center(grid)
+    v3 = s.field(v)
+    ci, cj, ck = grid.center
     value = float(v3[ci, cj, ck])
     ri, rj = (s.I - 1) // 4, (s.J - 1) // 4
     box = v3[ci - ri : ci + ri + 1, cj - rj : cj + rj + 1, :]
@@ -444,16 +428,14 @@ def invariant_weights(solver: ResolventSolver, grid: Grid) -> SolveReport:
     measure of the oscillator. On the Neumann rows w holds the multipliers
     of the boundary conditions, not mass.
     """
-    s = grid.spec
     e = np.zeros(solver.n)
-    e[np.ravel_multi_index(_center(grid), (s.I, s.J, s.K))] = 1.0
+    grid.spec.field(e)[grid.center] = 1.0
     return solver.transpose().solve(e)
 
 
 def _mass(w: np.ndarray, grid: Grid) -> np.ndarray:
     """w on the equation rows 0 < j < J-1, shaped (I, J-2, K)."""
-    s = grid.spec
-    return np.asarray(w).reshape(s.I, s.J, s.K)[:, 1:-1, :]
+    return grid.spec.field(w)[:, 1:-1, :]
 
 
 def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
@@ -469,13 +451,14 @@ def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
     s = grid.spec
     if not abs(a) <= s.x_bar:
         return 0.0
-    hx = 2.0 * s.x_bar / (s.I - 1)
+    hx = s.h("x")
     w3 = _mass(w, grid)
     speed = np.abs(grid.y[1:-1]) / hx
     # offsets from the center node, so that a and -a interpolate mirrored
     u = a / hx
-    i = min(math.floor(u) + (s.I - 1) // 2, s.I - 2)
-    t = u - (i - (s.I - 1) // 2)
+    ci = grid.center[0]
+    i = min(math.floor(u) + ci, s.I - 2)
+    t = u - (i - ci)
     if i <= 1 or i + 1 >= s.I - 2:
         warnings.warn(
             f"Rice's rate at a={a:g} reads the weights in the outer x sheets "
@@ -516,8 +499,7 @@ def magnitude_violations(
     accommodates possible discrete-maximum-principle violations of the
     second-order stencil. Returns 1-based (i, j, k, value) tuples.
     """
-    s = grid.spec
-    v3 = np.asarray(v).reshape(s.I, s.J, s.K)
+    v3 = grid.spec.field(v)
     mask = np.abs(v3) > (1.0 + slack) * sup_g
     out = []
     for i, j, k in zip(*np.nonzero(mask)):

@@ -180,6 +180,15 @@ def test_lambda_mismatch_rejected():
         assemble_rhs(grid, constant_observable(1.0), 0.2)
 
 
+def test_plastic_bound_mismatch_rejected():
+    # the z half-width of the box is the grid's b, so a model with another
+    # plastic bound would be solved on the wrong domain
+    grid = build_grid(GridSpec(b=0.5, lam=0.1, I=5, J=5, K=5))
+    for assemble in (assemble_matrix, oracle_assemble):
+        with pytest.raises(InvalidSpec, match="b=1.0"):
+            assemble(grid, ModelParams(b=1.0), 0.1)
+
+
 def test_oracle_equivalence_nonsymmetric_force():
     # a force with x-coupling and offset exercises every beta-dependent term
     p = ModelParams(k=1.2, alpha=0.6, b=0.8, sigma=0.7, force=ForceSpec(1.5, 0.3, 0.2))
@@ -191,19 +200,6 @@ def test_oracle_equivalence_nonsymmetric_force():
     )
     scale = np.maximum(np.abs(a.vals), np.abs(b.vals))
     assert (np.abs(a.vals - b.vals) <= 4 * np.spacing(scale)).all()
-
-
-def test_rhs_accepts_tabulated_node_values():
-    n = 5
-    lam = 0.1
-    grid = small_grid(n, lam)
-    table = np.arange(n**3, dtype=float)
-    rhs = assemble_rhs(grid, table, lam)
-    eq = eq_row_mask(n, n, n)
-    assert np.array_equal(rhs[eq], table[eq])
-    assert (rhs[~eq] == 0.0).all()
-    with pytest.raises(InvalidSpec):
-        assemble_rhs(grid, np.ones(7), lam)
 
 
 BAND_WIDTHS = [0.0, 0.3, 0.375, 1.5, 2.5]

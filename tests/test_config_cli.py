@@ -32,6 +32,9 @@ def test_empty_document_gives_paper_defaults():
 def test_unknown_key_is_an_error():
     with pytest.raises(ParseError):
         parse_config("model.mass = 2.0")
+    # a removed key is unknown too: spilu's own fill bound was never reached
+    with pytest.raises(ParseError, match="solver.fill_factor"):
+        parse_config("solver.fill_factor = 10.0")
 
 
 def test_malformed_line():
@@ -54,13 +57,12 @@ def test_validation_error_on_even_grid():
         parse_config("grid.I = 8")
 
 
-# settings that crashed (max_iters), were accepted (drop_tol), hung inside
-# spilu (fill_factor), met a singular factor (lambda, x_bar) or returned a
-# statistic of 0 (eps0) before validation
+# settings that crashed (max_iters), were accepted (drop_tol), met a
+# singular factor (lambda, x_bar) or returned a statistic of 0 (eps0) before
+# validation
 SOLVE_PROBES = [
     "solver.max_iters = 0",
     "solver.drop_tol = -1",
-    "solver.fill_factor = 0",
     "grid.lambda = inf",
     "grid.x_bar = inf",
     "observable.eps0 = inf",
@@ -238,7 +240,6 @@ solver.rel_tol = 1e-10
 solver.max_iters = 200
 solver.restart = 60
 solver.drop_tol = 0.001
-solver.fill_factor = 10.0
 solver.polish_factor = 1.0
 sim.dt = 0.001
 sim.n_steps = 100000
@@ -291,7 +292,6 @@ sim.n_paths = 8
 sim.n_steps = 5000
 sim.seed = 17
 solver.drop_tol = 1e-4
-solver.fill_factor = 12
 solver.max_iters = 500
 solver.polish_factor = 0.5
 solver.rel_tol = 1e-9
@@ -317,7 +317,6 @@ solver.rel_tol = 1e-09
 solver.max_iters = 500
 solver.restart = 25
 solver.drop_tol = 0.0001
-solver.fill_factor = 12.0
 solver.polish_factor = 0.5
 sim.dt = 0.002
 sim.n_steps = 5000

@@ -31,9 +31,8 @@ def test_nested_nodes_coincide_bitwise():
     spec = GridSpec(I=9, J=5, K=5, lam=1e-3, x_bar=3.5)
     fine = refine_nested(spec, "x")
     gc, gf = build_grid(spec), build_grid(fine)
-    assert np.array_equal(gc.xt, gf.xt[::2])
     assert np.array_equal(gc.x, gf.x[::2])
-    assert np.array_equal(gc.yt, gf.yt)
+    assert np.array_equal(gc.y, gf.y)
 
 
 def test_ladder_levels():

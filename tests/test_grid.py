@@ -7,11 +7,11 @@ from bepo.grid import GridSpec, build_grid
 
 def test_small_symmetric_grid():
     g = build_grid(GridSpec(x_bar=1.0, y_bar=1.0, b=1.0, lam=1.0, I=3, J=3, K=3))
-    for axis in (g.xt, g.yt, g.zt):
+    for axis in (g.x, g.y, g.z):
         assert list(axis) == [-1.0, 0.0, 1.0]
     ci, cj, ck = g.center
-    assert (ci, cj, ck) == (2, 2, 2)
-    assert g.xt[ci - 1] == 0.0
+    assert (ci, cj, ck) == (1, 1, 1)
+    assert g.x[ci] == 0.0
 
 
 def test_spacing_formula():
@@ -39,7 +39,7 @@ def test_invalid_specs():
 
 def test_reflection_negates_coordinates_exactly():
     g = build_grid(GridSpec(x_bar=3.5, y_bar=2.5, b=1.0, lam=1e-3, I=9, J=7, K=5))
-    for axis in (g.xt, g.yt, g.zt, g.x, g.y, g.z):
+    for axis in (g.x, g.y, g.z):
         assert np.array_equal(axis[::-1], -axis)
 
 
@@ -48,4 +48,4 @@ def test_unscaled_coordinates():
     g = build_grid(spec)
     assert g.x[0] == pytest.approx(-2.0)
     assert g.x[-1] == pytest.approx(2.0)
-    assert g.xt[0] == pytest.approx(-2.0e-2)
+    assert g.x[0] * spec.lam == pytest.approx(-2.0e-2)
