@@ -16,7 +16,6 @@ summary rows, so a run can be reproduced bit-exactly from its manifest.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import json
 import math
 import time
@@ -179,6 +178,20 @@ def write_manifest(
     _write_json(out / "manifest.json", manifest, indent=2)
 
 
+def _solution_rows(grid, v):
+    """The rows of solution.csv in node order, streamed one (i, j) line of
+    nodes at a time: 1-based indices, unscaled coordinates and v. A row is
+    (cells, v), its index and coordinate cells as one string, each axis
+    cell formatted once."""
+    x, y, z = (["%.12g" % c for c in axis.tolist()] for axis in (grid.x, grid.y, grid.z))
+    kz = [(str(k + 1), zk) for k, zk in enumerate(z)]
+    field = grid.spec.field(v)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            head, mid = f"{i + 1},{j + 1},", f",{xi},{yj},"
+            yield from zip([head + k + mid + zk for k, zk in kz], field[i, j].tolist())
+
+
 def run_solve(cfg: RunConfig, out: Path) -> dict:
     """One forward solve; writes solution.csv and summary.json."""
     t0 = time.perf_counter()
@@ -189,13 +202,7 @@ def run_solve(cfg: RunConfig, out: Path) -> dict:
         report.v, grid, g.sup_norm(cfg.grid.x_bar, cfg.grid.y_bar, cfg.model.b)
     )
     out.mkdir(parents=True, exist_ok=True)
-    # 1-based indices, unscaled coordinates; Python floats format fastest
-    x, y, z, s = grid.x.tolist(), grid.y.tolist(), grid.z.tolist(), grid.spec
-    ijk = itertools.product(*map(range, s.shape))
-    nodes = (
-        (i + 1, j + 1, k + 1, x[i], y[j], z[k], v) for (i, j, k), v in zip(ijk, report.v.tolist())
-    )
-    _write_csv(out / "solution.csv", "i,j,k,x,y,z,v", nodes)
+    _write_csv(out / "solution.csv", "i,j,k,x,y,z,v", _solution_rows(grid, report.v))
     row = {"statistic": statistic, "spread": spread,
            "residual": report.residual, "iterations": report.iterations}
     _write_json(out / "summary.json", row)
@@ -245,7 +252,8 @@ def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
     `BandObserver`; without it mc and mc_se are NaN. A row holds kind,
     level, pde, mc, mc_se, residual and iterations, and a crossing row also
     nu_rice, Rice's rate on w. Returns the rows, w's `weight_diagnostics`
-    and the stage record.
+    and the stage record, which with `mc` adds the seconds of the Monte
+    Carlo run (observers included) and its path-steps per second.
     """
     kinds = ["crossing"] * len(crossing) + ["band"] * len(band)
     levels = crossing + band
@@ -262,7 +270,10 @@ def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
         crossings = CrossingObserver(crossing, sim.dt, sim.n_paths)
         bands = BandObserver(band, sim.n_paths)
         observers = [obs for obs, on in ((crossings, crossing), (bands, band)) if on]
+        start = time.perf_counter()
         simulate_paths(sim, cfg.model, observers)
+        stages["simulate_s"] = time.perf_counter() - start
+        stages["path_steps_per_s"] = sim.n_paths * sim.n_steps / stages["simulate_s"]
         estimates = [crossings.frequency(i) for i in range(len(crossing))] + [
             bands.probability(i) for i in range(len(band))
         ]

@@ -10,16 +10,23 @@ the elastic deformation, with the drift evaluated at the old state:
     z' = clamp(z + y*dt, -b, b)
 
 so z sits exactly on +/-b in the plastic phases and the phase is recovered
-by machine-exact comparison against the clamp output.
+by machine-exact comparison against the clamp output. beta is affine, so
+the velocity update is computed as one affine map with coefficients fixed
+once per run (`_step_coefficients`):
+
+    y' = ((a*y + c*x) + d*z) + (sigma*dW + e)
+
+with a = 1 - c0*dt, c = (c1 - k*alpha)*dt, d = -k*(1-alpha)*dt and
+e = const*dt. It equals the form above up to rounding in the last bits.
 
 Paths are vectorized: the engine advances all paths in lock-step, drawing
 each path's noise from its own generator keyed by (seed, path index), so
 results do not depend on block size, on the number of paths or on worker
 count. Noise is drawn a block at a time, path-major (one contiguous
 standard_normal call per path into a reused (n_paths, block) buffer). Each
-step runs on preallocated arrays with `out=` ufuncs in the operation order
-of drift_beta and step_euler, so every sample is bit-identical to the
-scalar step_euler, which stays as the oracle.
+step runs on preallocated arrays with `out=` ufuncs in the association of
+step_euler, on the same coefficients, so every sample is bit-identical to
+the scalar step_euler, which stays as the oracle.
 
 Observers consume blocks of states shaped (steps, n_paths) after burn-in.
 The blocks are views of buffers that the next block overwrites, so an
@@ -37,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInput, NegativeBand, NonFiniteState
-from .model import LyapunovReport, ModelParams, drift_beta, lyapunov_value
+from .model import LyapunovReport, ModelParams, lyapunov_value
 
 __all__ = [
     "Phase",
@@ -135,12 +142,30 @@ class TrajectoryStats:
     outside_box_fraction: float | None = None
 
 
+def _step_coefficients(p: ModelParams, dt: float):
+    """(a, c, d, e) of the velocity update y' = ((a*y + c*x) + d*z) + (sigma*dW + e):
+    y + beta(x, y, z)*dt + sigma*dW with beta's affine terms multiplied
+    out by dt."""
+    f = p.force
+    return (
+        1.0 - f.c0 * dt,
+        (f.c1 - p.k * p.alpha) * dt,
+        -p.k * (1.0 - p.alpha) * dt,
+        f.const * dt,
+    )
+
+
 def step_euler(s: OscState, dt: float, dW: float, p: ModelParams) -> OscState:
-    """One explicit Euler-Maruyama step; dW is the Brownian increment."""
-    beta = drift_beta(s.x, s.y, s.z, p)
+    """One explicit Euler-Maruyama step; dW is the Brownian increment.
+
+    The velocity takes the affine form of `_step_coefficients`, associated
+    as ((a*y + c*x) + d*z) + (sigma*dW + e); simulate_paths keeps that
+    association, so its samples are bit-identical to iterating this step.
+    """
+    a, c, d, e = _step_coefficients(p, dt)
     ydt = s.y * dt
     x = s.x + ydt
-    y = s.y + beta * dt + p.sigma * dW
+    y = ((a * s.y + c * s.x) + d * s.z) + (p.sigma * dW + e)
     z = min(max(s.z + ydt, -p.b), p.b)
     return OscState(x=x, y=y, z=z, phase=_phase_of(z, p.b))
 
@@ -167,10 +192,10 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     Path i is bit-identical to iterating step_euler with the increments
     sqrt(dt) * standard_normal of its own (seed, i) stream, whatever the
     block size and the number of paths. Per block, the noise is drawn
-    path-major into one reused buffer, scaled in place by sqrt(dt) and then
-    by sigma, and transposed once into the y rows; each step then runs the
-    operations of drift_beta and step_euler in their order, with `out=`
-    ufuncs writing straight into the block's rows.
+    path-major into one reused buffer, turned in place into
+    (N*sqrt(dt))*sigma + e and transposed once into the y rows. Each step
+    is then eleven `out=` ufunc calls on one-dimensional rows, in
+    step_euler's association and on its coefficients (`_step_coefficients`).
     """
     rngs = _path_generators(cfg.seed, cfg.n_paths)
     npth = cfg.n_paths
@@ -186,7 +211,7 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     x = np.full(npth, float(cfg.init.x))
     y = np.full(npth, float(cfg.init.y))
     z = np.full(npth, float(cfg.init.z))
-    beta = np.empty(npth)
+    acc = np.empty(npth)
     tmp = np.empty(npth)
 
     # constants as arrays: an array-array ufunc call is cheaper than one
@@ -194,12 +219,11 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     def const(v):
         return np.full(npth, v)
 
-    f = p.force
-    neg_c0, c1, c = const(-f.c0), const(f.c1), const(f.const)
-    k_z, k_x = const(p.k * (1.0 - p.alpha)), const(p.k * p.alpha)
+    a, c, d, e = _step_coefficients(p, dt)
+    a_y, c_x, d_z = const(a), const(c), const(d)
     dt_c, lo, hi = const(dt), const(-p.b), const(p.b)
     # positional `out` on local names: the loop below is call overhead
-    mul, add, sub = np.multiply, np.add, np.subtract
+    mul, add = np.multiply, np.add
 
     done = 0
     while done < cfg.n_steps:
@@ -209,28 +233,24 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
         dW = noise[:, :nb]
         dW *= sqdt
         dW *= p.sigma
-        # row t of ys holds sigma*dW of step t until the step overwrites it
+        dW += e
+        # row t of ys holds sigma*dW + e of step t until the step overwrites it
         ys[:nb] = dW.T
         xp, yp, zp = x, y, z
         with np.errstate(invalid="ignore", over="ignore"):
             # non-finite states are detected below; let them propagate quietly
             for xr, yr, zr in row_views[:nb]:
-                mul(neg_c0, yp, beta)  # beta = f(x, y) - k(1-alpha)z - k alpha x
-                mul(c1, xp, tmp)
-                add(beta, tmp, beta)
-                add(beta, c, beta)
-                mul(k_z, zp, tmp)
-                sub(beta, tmp, beta)
-                mul(k_x, xp, tmp)
-                sub(beta, tmp, beta)
+                mul(a_y, yp, acc)
+                mul(c_x, xp, tmp)
+                add(acc, tmp, acc)
+                mul(d_z, zp, tmp)
+                add(acc, tmp, acc)
+                add(acc, yr, yr)  # ((a*y + c*x) + d*z) + (sigma*dW + e)
                 mul(yp, dt_c, tmp)  # y*dt
                 add(xp, tmp, xr)
                 add(zp, tmp, zr)
                 np.maximum(zr, lo, out=zr)
                 np.minimum(zr, hi, out=zr)
-                mul(beta, dt_c, beta)
-                add(yp, beta, beta)
-                add(beta, yr, yr)  # (y + beta*dt) + sigma*dW
                 xp, yp, zp = xr, yr, zr
         x[:], y[:], z[:] = xp, yp, zp
         done += nb
@@ -389,24 +409,14 @@ def serviceability_mc(x_samples, z_samples, a2: float) -> float:
     return float(np.mean(np.abs(x_samples - z_samples) <= a2))
 
 
-def ergodic_average_mc(g, x_samples, y_samples, z_samples, n_batches: int = 50):
-    """Time average of g along the samples with a batch-means standard error.
-
-    Returns (value, se). Batches are contiguous and as equal as possible;
-    a constant observable yields se = 0 exactly. A test oracle only: batch
-    means along one path under-report the band's spread across paths.
-    """
+def ergodic_average_mc(g, x_samples, y_samples, z_samples) -> float:
+    """Time average of g along the samples. A test oracle only, with no
+    standard error: errors are taken across paths, and one path has none."""
     x_samples = np.asarray(x_samples, dtype=np.float64)
     if x_samples.size == 0:
         raise DegenerateInput("empty sample set")
     vals = np.asarray(g(x_samples, y_samples, z_samples), dtype=np.float64)
-    value = float(vals.mean())
-    n_batches = max(1, min(n_batches, len(vals)))
-    if n_batches == 1:
-        return value, 0.0
-    means = np.array([float(chunk.mean()) for chunk in np.array_split(vals, n_batches)])
-    se = float(means.std(ddof=1) / np.sqrt(n_batches))
-    return value, se
+    return float(vals.mean())
 
 
 def _pooled_stats(per_path: np.ndarray):
@@ -433,22 +443,28 @@ class CrossingObserver:
         self.counts = np.zeros((len(self.levels), n_paths), dtype=np.int64)
         self._carry = np.zeros((len(self.levels), n_paths), dtype=np.int8)
         self.n_samples = 0
-        # reused across blocks: deviations, and signs whose row 0 is the carry
-        self._dev = np.empty((0, n_paths))
+        # reused across blocks: the above/below masks, and signs whose row
+        # 0 is the carry
+        self._above = np.empty((0, n_paths), dtype=bool)
+        self._below = np.empty((0, n_paths), dtype=bool)
         self._signs = np.empty((1, n_paths), dtype=np.int8)
 
     def update(self, t0, xs, ys, zs):
         nb = xs.shape[0]
         started = self.n_samples > 0
         self.n_samples += nb
-        if self._dev.shape[0] < nb:
-            self._dev = np.empty(xs.shape)
+        if self._above.shape[0] < nb:
+            self._above = np.empty(xs.shape, dtype=bool)
+            self._below = np.empty(xs.shape, dtype=bool)
             self._signs = np.empty((nb + 1, xs.shape[1]), dtype=np.int8)
-        dev = self._dev[:nb]
+        above = self._above[:nb]
+        below = self._below[:nb]
         s = self._signs[: nb + 1]
         for li, a1 in enumerate(self.levels):
-            np.subtract(xs, a1, out=dev)
-            np.sign(dev, out=s[1:], casting="unsafe")
+            # sign(x - a1) as (x > a1) - (x < a1), on the masks' int8 views
+            np.greater(xs, a1, out=above)
+            np.less(xs, a1, out=below)
+            np.subtract(above.view(np.int8), below.view(np.int8), out=s[1:])
             # before the first row there is nothing to cross from
             s[0] = self._carry[li] if started else s[1]
             if not s[1:].all():

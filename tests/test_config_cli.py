@@ -402,19 +402,32 @@ def test_manifests_record_stage_timings(tmp_path):
     runs = {
         "solve": run_solve,
         "sweep": run_crossing_sweep,
+        "band-sweep": run_serviceability_sweep,
         "convergence": run_convergence,
         "cross": run_cross_validate,
     }
     # one incomplete LU per matrix for the default model; convergence with
     # one refinement per axis factors 1 + 3 levels
-    factors = {"solve": 1, "sweep": 1, "convergence": 4, "cross": 1}
+    factors = {"solve": 1, "sweep": 1, "band-sweep": 1, "convergence": 4, "cross": 1}
+    pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz"}
+    # the sweeps and cross-validate run Monte Carlo here
+    mc_keys = {"simulate_s", "path_steps_per_s"}
     for name, run in runs.items():
         run(cfg, tmp_path / name)
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
-        assert set(stages) == {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz"}
+        with_mc = name in ("sweep", "band-sweep", "cross")
+        assert set(stages) == pde_keys | (mc_keys if with_mc else set())
         assert all(stages[key] > 0 for key in stages)
         assert isinstance(stages["factors"], int) and isinstance(stages["factor_nnz"], int)
         assert stages["factors"] == factors[name]
+        if with_mc:
+            path_steps = cfg.sim.n_paths * cfg.sim.n_steps
+            assert stages["path_steps_per_s"] == path_steps / stages["simulate_s"]
+    # Monte Carlo off: no Monte Carlo stages
+    run_crossing_sweep(quick_config("observable.eps0 = 1.0\nmc.enabled = false\n"
+                                    "sweep.values = 0.5\n"), tmp_path / "no-mc")
+    stages = json.loads((tmp_path / "no-mc" / "manifest.json").read_text())["stages"]
+    assert set(stages) == pde_keys
 
 
 def test_serviceability_sweep_monotone_mc(tmp_path):
@@ -444,6 +457,26 @@ def test_cli_solve_and_manifest(tmp_path, capsys):
     assert summary["statistic"] == pytest.approx(1.0, abs=1e-9)
     assert (out / "solution.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_solution_csv_is_every_node_formatted_cell_by_cell(tmp_path):
+    """solution.csv holds one row per node, i fastest-outer and k innermost,
+    each cell as %.12g of the same node's index, coordinate and value."""
+    import itertools
+
+    cfg = parse_config(
+        "grid.I = 9\ngrid.J = 7\ngrid.K = 5\ngrid.lambda = 0.01\nobservable.kind = band\n"
+    )
+    experiments.run_solve(cfg, tmp_path)
+    g = experiments.observable_from_config(cfg)
+    report, grid, _, _ = experiments._factor_and_solve(cfg, cfg.grid, [g], adjoint=False)
+    values = iter(report.v)
+    expected = ["i,j,k,x,y,z,v"] + [
+        ",".join("%.12g" % c for c in (i + 1, j + 1, k + 1, grid.x[i], grid.y[j], grid.z[k],
+                                       next(values)))
+        for i, j, k in itertools.product(range(9), range(7), range(5))
+    ]
+    assert (tmp_path / "solution.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_solve_manifest_counts_bound_violations(tmp_path, monkeypatch):
