@@ -810,3 +810,60 @@ def test_sweep_with_a_nan_right_hand_side_fails_before_writing(tmp_path, monkeyp
     with pytest.raises(NonFiniteState):
         run_crossing_sweep(cfg, out)
     assert not out.exists()
+
+
+_PIN_GRID = "grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n"
+_PIN_MC = "sim.n_steps = 600\nsim.n_paths = 4\nsim.dt = 0.02\nobservable.eps0 = 2.0\n"
+
+# the summary lines each experiment prints, seed 5: any change to how the CLI
+# picks the experiment or formats its rows moves one of them
+CLI_SUMMARIES = {
+    "solve": (
+        _PIN_GRID + "observable.kind = band\nobservable.a2 = 1.0\n",
+        ["statistic=0.62342569 spread=0.0524 residual=1.44e-10 iterations=11"],
+    ),
+    "simulate": (
+        "sim.n_steps = 400\nsim.dt = 1e-2\n",
+        ["observed=396 events=4 outside_box=0"],
+    ),
+    "crossing-sweep": (
+        _PIN_GRID + _PIN_MC + "sweep.values = 1.0\n",
+        ["a1=1 nu_pde=0.0720169 nu_mc=0.0421585 se=0.0422"],
+    ),
+    "serviceability-sweep": (
+        _PIN_GRID + _PIN_MC + "sweep.values = 0.3\n",
+        ["a2=0.3 P_pde=0.215052 P_mc=0.817761 se=0.182"],
+    ),
+    "convergence": (
+        _PIN_GRID + "observable.kind = band\nobservable.a2 = 1.0\nconvergence.n_refinements = 2\n",
+        [
+            "axis=x level=0 h=0.00875 diff=nan order=nan",
+            "axis=x level=1 h=0.004375 diff=0.119829 order=nan",
+            "axis=x level=2 h=0.0021875 diff=0.0442997 order=1.43561",
+            "axis=y level=0 h=0.00875 diff=nan order=nan",
+            "axis=y level=1 h=0.004375 diff=0.0234872 order=nan",
+            "axis=y level=2 h=0.0021875 diff=0.00946458 order=1.31126",
+            "axis=z level=0 h=0.0025 diff=nan order=nan",
+            "axis=z level=1 h=0.00125 diff=0.0160502 order=nan",
+            "axis=z level=2 h=0.000625 diff=0.0035669 order=2.16985",
+        ],
+    ),
+    "cross-validate": (
+        _PIN_GRID + _PIN_MC + "observable.a1 = 0.5\nobservable.a2 = 0.3\n",
+        [
+            "crossing level=0.5 pde=0.0774699 mc=0.189713 se=0.053 diff=0.112 gap_se=-2.12",
+            "band level=0.3 pde=0.215052 mc=0.817761 se=0.182 diff=0.603 gap_se=-3.31",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", list(CLI_SUMMARIES))
+def test_cli_summary_lines_are_pinned(tmp_path, capsys, experiment):
+    text, expected = CLI_SUMMARIES[experiment]
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    rc = main([experiment, "--config", str(config), "--out", str(out), "--seed", "5"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == expected + [f"outputs in {out}"]
