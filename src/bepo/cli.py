@@ -7,6 +7,11 @@ serviceability-sweep, convergence, cross-validate. The config document uses
 flat `section.key = value` lines; an empty or missing config runs the
 built-in reference defaults. Every run leaves a manifest.json in the output
 directory from which it can be reproduced.
+
+Experiment `name` runs `run_<name>` of experiments.py (dashes as
+underscores); only `convergence` also takes `--threads`. Each row it
+returns prints one stdout line in the experiment's `_SUMMARY` format, then
+the output directory is named.
 """
 
 from __future__ import annotations
@@ -25,6 +30,19 @@ from .experiments import (
     run_simulate,
     run_solve,
 )
+
+# experiment -> the stdout line printed for each row it returns
+_SUMMARY = {
+    "solve": "statistic={statistic:.8g} spread={spread:.3g} "
+    "residual={residual:.3g} iterations={iterations}",
+    "simulate": "observed={n_observed} events={n_events} "
+    "outside_box={outside_box_fraction:.3g}",
+    "crossing-sweep": "a1={level:g} nu_pde={pde:.6g} nu_mc={mc:.6g} se={mc_se:.3g}",
+    "serviceability-sweep": "a2={level:g} P_pde={pde:.6g} P_mc={mc:.6g} se={mc_se:.3g}",
+    "convergence": "axis={axis} level={level} h={h:.6g} diff={diff:.6g} order={order:.6g}",
+    "cross-validate": "{kind} level={level:g} pde={pde:.6g} mc={mc:.6g} se={mc_se:.3g} "
+    "diff={abs_diff:.3g} gap_se={gap_se:.3g}",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,43 +69,12 @@ def main(argv=None) -> int:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         cfg = parse_config(text, experiment=args.experiment, seed=args.seed)
 
-        if args.experiment == "solve":
-            row = run_solve(cfg, args.out)
-            print(
-                f"statistic={row['statistic']:.8g} spread={row['spread']:.3g} "
-                f"residual={row['residual']:.3g} iterations={row['iterations']}"
-            )
-        elif args.experiment == "simulate":
-            row = run_simulate(cfg, args.out)
-            print(
-                f"observed={row['n_observed']} events={row['n_events']} "
-                f"outside_box={row['outside_box_fraction']:.3g}"
-            )
-        elif args.experiment == "crossing-sweep":
-            for r in run_crossing_sweep(cfg, args.out):
-                print(
-                    f"a1={r['level']:g} nu_pde={r['pde']:.6g} nu_mc={r['mc']:.6g} "
-                    f"se={r['mc_se']:.3g}"
-                )
-        elif args.experiment == "serviceability-sweep":
-            for r in run_serviceability_sweep(cfg, args.out):
-                print(
-                    f"a2={r['level']:g} P_pde={r['pde']:.6g} P_mc={r['mc']:.6g} "
-                    f"se={r['mc_se']:.3g}"
-                )
-        elif args.experiment == "convergence":
-            for r in run_convergence(cfg, args.out, args.threads):
-                print(
-                    f"axis={r['axis']} level={r['level']} h={r['h']:.6g} "
-                    f"diff={r['diff']:.6g} order={r['order']:.6g}"
-                )
-        else:
-            for r in run_cross_validate(cfg, args.out):
-                print(
-                    f"{r['kind']} level={r['level']:g} pde={r['pde']:.6g} "
-                    f"mc={r['mc']:.6g} se={r['mc_se']:.3g} diff={r['abs_diff']:.3g} "
-                    f"gap_se={r['gap_se']:.3g}"
-                )
+        # looked up at each call, so a wrapper set on this module's run_* is used
+        run = globals()["run_" + args.experiment.replace("-", "_")]
+        threads = (args.threads,) if args.experiment == "convergence" else ()
+        rows = run(cfg, args.out, *threads)
+        for row in [rows] if isinstance(rows, dict) else rows:
+            print(_SUMMARY[args.experiment].format(**row))
     except BepoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

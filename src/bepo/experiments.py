@@ -366,13 +366,12 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
             )
             for m in range(len(reports) - 1)
         ]
-        spacing = {"x": "dx", "y": "dy", "z": "dz"}[axis]
         for m, spec in enumerate(specs):
             rows.append(
                 {
                     "axis": axis,
                     "level": m,
-                    "h": getattr(spec, spacing),
+                    "h": getattr(spec, "d" + axis),
                     "diff": diffs[m - 1] if m >= 1 else float("nan"),
                     "order": (
                         empirical_order(diffs[m - 2], diffs[m - 1])

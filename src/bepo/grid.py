@@ -3,28 +3,34 @@
 The box is [-x_bar, x_bar] x [-y_bar, y_bar] x [-b, b], with b the plastic
 bound. A `Grid` keeps the unscaled node coordinates x, y, z. The resolvent
 equation is discretized in the scaled coordinates lam*(x, y, z), so the
-spacings `GridSpec.dx`, `dy`, `dz` are the scaled ones, O(lam); `h` gives
-the unscaled spacing of an axis.
+spacings `GridSpec.dx`, `dy`, `dz` (d + axis name) are the scaled ones,
+O(lam); `h` gives the unscaled spacing of an axis.
 
 Node indices (i, j, k) are 0-based; node (i, j, k) is entry
 (i*J + j)*K + k of a field vector, k fastest, and `GridSpec.field` views a
 field as an (I, J, K) array. The 1-based indices of the outputs
 (`solution.csv` and the tuples of `magnitude_violations`) add 1 where they
 are written.
+
+Nested refinement lives here too: `refine_nested` takes an axis's count to
+2*count - 1, which halves its spacing and keeps every coarse node
+bit-exactly on the fine mesh, and `sup_diff_on_common` compares two fields
+on those common nodes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, ShapeMismatch
 
-__all__ = ["GridSpec", "Grid", "build_grid"]
+__all__ = ["GridSpec", "Grid", "build_grid", "refine_nested", "sup_diff_on_common"]
 
-# axis -> (node count field, half-width field)
+# axis -> (node count field, half-width field), in the order of a field's axes
 _AXES = {"x": ("I", "x_bar"), "y": ("J", "y_bar"), "z": ("K", "b")}
 
 
@@ -135,3 +141,40 @@ def build_grid(spec: GridSpec) -> Grid:
         y=_axis(spec.J, spec.dy) / spec.lam,
         z=_axis(spec.K, spec.dz) / spec.lam,
     )
+
+
+def refine_nested(spec: GridSpec, axis: str) -> GridSpec:
+    """Double the node count on one axis (count -> 2*count - 1)."""
+    if axis not in _AXES:
+        raise InvalidSpec(f"axis must be one of x, y, z; got {axis!r}")
+    name = _AXES[axis][0]
+    return dataclasses.replace(spec, **{name: 2 * getattr(spec, name) - 1})
+
+
+def sup_diff_on_common(
+    v_coarse,
+    v_fine,
+    spec_coarse: GridSpec,
+    spec_fine: GridSpec,
+    interior_only: bool = False,
+):
+    """max |v_coarse - v_fine| over the coarse nodes.
+
+    spec_fine must be `refine_nested(spec_coarse, axis)` for one axis, the
+    whole spec compared, so a pair whose lam or half-widths differ raises
+    ShapeMismatch as well as one whose counts do not nest. Coarse node m on
+    the refined axis coincides with fine node 2m, bit-exactly; no
+    interpolation ever happens. Fields are flat vectors in the grid's linear
+    ordering. interior_only drops the Neumann sheets (j = 0 and j = J-1)
+    from the comparison.
+    """
+    refined = [spec_fine == refine_nested(spec_coarse, axis) for axis in _AXES]
+    if not any(refined):
+        raise ShapeMismatch(
+            f"specs are not one nested refinement apart: {spec_coarse} vs {spec_fine}"
+        )
+    common = tuple(slice(None, None, 2) if hit else slice(None) for hit in refined)
+    diff = np.abs(spec_coarse.field(v_coarse) - spec_fine.field(v_fine)[common])
+    if interior_only:
+        diff = diff[:, 1:-1, :]
+    return float(diff.max())

@@ -62,7 +62,7 @@ class SolverConfig:
 
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
     max_iters     : GMRES restart cycles
-    restart       : GMRES restart length
+    restart       : GMRES restart length, capped at the number of unknowns
     drop_tol      : threshold below which the incomplete LU of a
                     block-triangular half (D+U, and D+L when it is not the
                     mirror of D+U; y-line order) drops an entry; 0 factors
@@ -234,10 +234,12 @@ def _gmres(A, b, precond, tol, restart, cycles):
     the true residual misses by and iterates on in the same basis, so a
     cycle ends only on the true residual or at its last step. M^-1 is
     applied once per cycle and once per step, so a solve done in one cycle
-    applies it steps + 1 times. The basis is one contiguous (restart + 1, n)
+    applies it steps + 1 times. No Krylov basis can outgrow the n unknowns,
+    so restart is capped at n. The basis is one contiguous (restart + 1, n)
     array, orthogonalized by classical Gram-Schmidt run twice, and the
     Givens rotations act on Python floats.
     """
+    restart = min(restart, b.size)
     v = np.zeros(b.size)
     r, r_norm = b, float(np.linalg.norm(b))
     target = tol * r_norm

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ def test_sup_diff_shape_mismatch():
         sup_diff_on_common(
             np.zeros(spec.n_nodes), np.zeros(other.n_nodes), spec, other
         )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"lam": 0.2}, {"x_bar": 7.0}, {"lam": 0.2, "x_bar": 7.0}, {"y_bar": 2.0}, {"b": 2.0}],
+    ids=["lam", "x_bar", "lam-and-x_bar", "y_bar", "b"],
+)
+def test_sup_diff_rejects_nested_counts_on_another_grid(change):
+    """Counts that nest are not enough: the nodes coincide only when lam and
+    every half-width match too."""
+    spec = GridSpec(I=5, J=5, K=5, lam=0.1)
+    other = dataclasses.replace(refine_nested(spec, "x"), **change)
+    with pytest.raises(ShapeMismatch):
+        sup_diff_on_common(np.zeros(spec.n_nodes), np.ones(other.n_nodes), spec, other)
 
 
 def test_empirical_order_values():

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import warnings
 import weakref
 
@@ -221,6 +222,17 @@ def test_too_short_a_krylov_budget_raises(grid9, matrix9, max_iters, restart):
     assert info.value.residual > cfg.rel_tol
 
 
+def test_restart_above_the_unknowns_is_capped(grid9, matrix9):
+    """No Krylov basis outgrows the n unknowns, so a restart far above n runs
+    the same steps as the default instead of allocating a (restart + 1, n)
+    basis."""
+    b = assemble_rhs(grid9, plastic_band(0.5), 1e-2)
+    base = ResolventSolver(matrix9).solve(b)
+    huge = ResolventSolver(matrix9, SolverConfig(restart=2_000_000)).solve(b)
+    assert huge.iterations == base.iterations
+    assert np.array_equal(huge.v, base.v)
+
+
 def test_spent_solver_is_freed_without_the_cycle_collector(grid9, matrix9):
     solver = ResolventSolver(matrix9)
     solver.solve(assemble_rhs(grid9, constant_observable(1.0), 1e-2))
@@ -319,6 +331,39 @@ def test_weights_and_rice_rates_are_reflection_symmetric():
         assert abs(rice_rate(w, grid, a) - rice_rate(w, grid, -a)) <= 1e-12 * peak
     assert rice_rate(w, grid, 2.0) > 0
     assert rice_rate(w, grid, 3.6) == rice_rate(w, grid, -3.6) == 0.0
+
+
+# alpha = 1: the restoring force is k x and z no longer feeds back, so (X, Y)
+# is the stationary linear oscillator x'' + c0 x' + k x = sigma xi, Gaussian
+# with independent components; the z axis and the plastic faces stay in the
+# system
+LINEAR = ModelParams(alpha=1.0)
+
+
+def _linear_weights(N, lam):
+    grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
+    return invariant_weights(ResolventSolver(assemble_matrix(grid, LINEAR, lam)), grid).v, grid
+
+
+def test_linear_limit_rice_rate_converges_to_the_closed_form():
+    """nu(0) = (sqrt(k)/pi) exp(-a^2 c0 k / sigma^2) at a = 0. The errors
+    read -0.0363 (17^3) and -0.0099 (33^3) at lam 1e-3, a ratio of 3.65:
+    order about 1.9."""
+    exact = math.sqrt(LINEAR.k) / math.pi
+    errors = [rice_rate(*_linear_weights(N, 1e-3), 0.0) - exact for N in (17, 33)]
+    assert abs(errors[1]) <= 0.0125
+    assert abs(errors[0]) >= 3 * abs(errors[1])
+
+
+def test_linear_limit_second_moments_match_the_closed_form():
+    """E[X^2] = sigma^2/(2 c0 k) and E[Y^2] = sigma^2/(2 c0), both 0.5 here;
+    both read 0.49988 on 33^3 at lam 1e-5, where lam's own bias is gone."""
+    w, grid = _linear_weights(33, 1e-5)
+    sigma2, c0, k = LINEAR.sigma**2, LINEAR.force.c0, LINEAR.k
+    x2 = w @ assemble_rhs(grid, lambda x, y, z: x**2, 1e-5)
+    y2 = w @ assemble_rhs(grid, lambda x, y, z: y**2, 1e-5)
+    assert abs(x2 - sigma2 / (2 * c0 * k)) <= 3e-4
+    assert abs(y2 - sigma2 / (2 * c0)) <= 3e-4
 
 
 def test_rice_rate_warns_in_the_outer_x_sheets():
