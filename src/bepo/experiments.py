@@ -83,14 +83,16 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     it: a mollifier narrower than two cells and a level outside the box
     warn. Then it assembles and factors the matrix, builds the right-hand
     sides and checks them for non-finite entries, and makes one solve. With
-    `adjoint` that solve is on the transpose, for the weights w of
-    `invariant_weights` (stat(g) = w @ g for every observable); otherwise it
-    is the forward solve for the field v of the one observable. Returns the
-    report, the grid, the right-hand sides and the manifest's `stages`
-    record: seconds of assembly (matrix and right-hand sides), of the
-    y-line split and the incomplete LUs, and of the Krylov solve, plus the
-    number of incomplete LUs computed (1 when the two sweeps share one) and
-    their stored nonzeros, a shared factor counted once.
+    `adjoint` the solver is built for the transpose, and its solve gives
+    the weights w of `invariant_weights` (stat(g) = w @ g for every
+    observable); otherwise it is the forward solve for the field v of the
+    one observable. The assembled matrix is dropped once the solver holds
+    its y-line copy. Returns the report, the grid, the right-hand sides and
+    the manifest's `stages` record: seconds of assembly (matrix and
+    right-hand sides), of the y-line split and the incomplete LUs, and of
+    the Krylov solve, plus the number of incomplete LUs computed (1 when
+    the two sweeps share one) and their stored nonzeros, a shared factor
+    counted once.
     """
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
@@ -105,7 +107,8 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     start = time.perf_counter()
     matrix = assemble_matrix(grid, cfg.model, spec.lam)
     assembled = time.perf_counter()
-    solver = ResolventSolver(matrix, cfg.solver)
+    solver = ResolventSolver(matrix, cfg.solver, adjoint=adjoint)
+    del matrix  # the solver keeps its own y-line copy
     factored = time.perf_counter()
     # the right-hand sides come after the factorization, whose freed
     # workspace they reuse; built before it, they raise the peak RSS

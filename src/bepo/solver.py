@@ -4,28 +4,34 @@ Restarted GMRES, preconditioned on the left by a symmetric block
 Gauss-Seidel sweep over y-lines. With the nodes renumbered so that each
 (i, k) line of J nodes along y is contiguous, the matrix splits into line
 blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1 with
-block-triangular halves factored by a threshold incomplete LU. Both halves
-are block-upper-triangular in the form factored, where SuperLU's natural
-order is cheapest: D+U as it is, and D+L as R (D+L) R, with R the index
-reversal. R is the point reflection (x, y, z) -> (-x, -y, -z), under which
-the oscillator is odd unless its force has a constant term, and then
-R (D+L) R = S (D+U) bit for bit, S = -1 on the Neumann rows; the one
-incomplete LU of D+U then serves both sweeps. The line blocks hold the stiff
-y diffusion and the beta drift; the x and z advection speeds depend on y
-only, so each half's upwind x/z transport runs one way between lines, and
-the forward and backward sweeps absorb the y < 0 and y > 0 rows. The GMRES
-routine (`_gmres`) iterates on the preconditioned residual but ends each
-restart cycle on the true residual ||b - M v||, and the solver recomputes
-that residual once more before it accepts a solution, so every returned
-field meets rel_tol on the original system.
+block-triangular halves factored by a threshold incomplete LU. Every factor
+is read through SuperLU's transposed solve, which gathers along the rows of
+the factor and is faster than its column-scattering natural solve; so a
+forward solver factors the transposed halves, whose CSC arrays are the CSR
+arrays of the halves, and an adjoint solver the halves themselves. The
+lower half enters as S R (D+L) R, with R the index reversal and S = -1 on
+the Neumann rows. R is the point reflection (x, y, z) -> (-x, -y, -z),
+under which the oscillator is odd unless its force has a constant term,
+and then S R (D+L) R = D+U bit for bit; the one incomplete LU then serves
+both sweeps. R and S are folded into the y-line matrix that GMRES iterates
+on and into the stored D, so one preconditioner application is two
+triangular solves and one sparse product, and each solve permutes its
+right-hand side in and its solution out once. The line blocks hold the
+stiff y diffusion and the beta drift; the x and z advection speeds depend
+on y only, so each half's upwind x/z transport runs one way between lines,
+and the forward and backward sweeps absorb the y < 0 and y > 0 rows. The
+GMRES routine (`_gmres`) iterates on the preconditioned residual but ends
+each restart cycle on the true residual, and the solver recomputes that
+residual once more before it accepts a solution, so every returned field
+meets rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
-the center node. The same factors, transposed, solve M^T w = e_c once
-(`ResolventSolver.transpose`, `invariant_weights`); then stat(g) = w @ g
-for every observable on the grid. w is the discrete invariant measure, and
-it also gives the crossing rate by Rice's formula (`rice_rate`) and mass
+the center node. An adjoint solver (`ResolventSolver(..., adjoint=True)`)
+solves M^T w = e_c once (`invariant_weights`); then stat(g) = w @ g for
+every observable on the grid. w is the discrete invariant measure, and it
+also gives the crossing rate by Rice's formula (`rice_rate`) and mass
 diagnostics (`weight_diagnostics`). A full field v, and with it the spread
-and the magnitude diagnostic, still needs a forward solve.
+and the magnitude diagnostic, still needs a forward solver.
 """
 
 from __future__ import annotations
@@ -64,9 +70,9 @@ class SolverConfig:
     max_iters     : GMRES restart cycles
     restart       : GMRES restart length, capped at the number of unknowns
     drop_tol      : threshold below which the incomplete LU of a
-                    block-triangular half (D+U, and D+L when it is not the
-                    mirror of D+U; y-line order) drops an entry; 0 factors
-                    exactly
+                    block-triangular half drops an entry: of D+U, and of
+                    S R (D+L) R when it is not D+U itself (y-line order),
+                    each transposed for a forward solver; 0 factors exactly
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -103,72 +109,75 @@ class SolveReport:
     iterations: int
 
 
-def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int]):
-    """perm and P A P^T as CSC, in y-line order (i, k, j; j fastest).
+def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int], adjoint: bool):
+    """perm and P A P^T in y-line order (i, k, j; j fastest), with sorted
+    indices: as CSR for a forward solver, as CSC for an adjoint one.
 
     (P v)[p] = v[perm[p]]. Row and column p of P A P^T belong to line p // J.
     Gathering the rows of A in perm order and renaming the columns gives the
-    CSR of P A P^T; the CSC conversion sorts each column's rows.
+    CSR of P A P^T with each row's columns unsorted.
     """
     perm = np.arange(A.shape[0], dtype=np.int32).reshape(shape).transpose(0, 2, 1).ravel()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.int32)
     rows = A[perm]
-    return perm, sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=A.shape).tocsc()
+    Ap = sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=A.shape)
+    if adjoint:
+        return perm, Ap.tocsc()
+    Ap.sort_indices()
+    return perm, Ap
 
 
-def _cut(Ap: sp.csc_matrix, keep: np.ndarray, reverse: bool = False) -> sp.csc_matrix:
-    """The entries of Ap where keep is true; with reverse, R of them R.
+def _cut(M, keep=None, major=False, minor=False, negate=None):
+    """The compressed arrays (data, indices, indptr) of M's entries where keep
+    is true (all of them for None), M in CSR or CSC; with `negate`, the
+    entries where it is true change sign.
 
-    R is the index reversal, (R v)[p] = v[n-1-p]. In CSC, R M R reverses the
-    data, the row indices (renumbered n-1-r) and the column pointers.
+    With `major` the compressed axis is reversed, with `minor` the other
+    one, R the index reversal, (R v)[p] = v[n-1-p]: of a CSR M they give
+    R M and M R, of a CSC M, M R and R M, and both give R M R. Read in the
+    other format, the arrays are those of the transpose. Reversing the
+    compressed axis reverses the data, the indices and the pointers, so
+    M's sorted order survives no reversal or both.
     """
-    data, rows = Ap.data[keep], Ap.indices[keep]
-    kept = np.zeros(keep.size + 1, dtype=np.int32)
-    np.cumsum(keep, out=kept[1:])
-    ptr = kept[Ap.indptr]
-    if reverse:
-        data, rows, ptr = data[::-1].copy(), Ap.shape[0] - 1 - rows[::-1], ptr[-1] - ptr[::-1]
-    return sp.csc_matrix((data, rows, ptr), shape=Ap.shape)
+    data, indices, ptr = M.data, M.indices, M.indptr
+    if keep is not None:
+        data, indices = data[keep], indices[keep]
+        negate = None if negate is None else negate[keep]
+        kept = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        ptr = kept[ptr]
+    if major:
+        data, indices, ptr = data[::-1], indices[::-1], ptr[-1] - ptr[::-1]
+        negate = None if negate is None else negate[::-1]
+    if minor:
+        indices = M.shape[0] - 1 - indices
+    if negate is not None:
+        data = np.array(data)  # never M's own array
+        np.negative(data, out=data, where=negate)
+    # sparsetools copies a reversed view on every product
+    return np.ascontiguousarray(data), np.ascontiguousarray(indices), ptr
 
 
-def _mirrors(lower: sp.csc_matrix, upper: sp.csc_matrix, sign: np.ndarray) -> bool:
-    """Whether R (D+L) R == S (D+U) bit for bit, S = diag(sign).
+def _mirrors(lower: sp.csc_matrix, upper: sp.csc_matrix) -> bool:
+    """Whether the signed, reflected lower half is the upper one bit for bit.
 
     The point reflection (x, y, z) -> (-x, -y, -z) is the index reversal R
     of the y-line order. The assembly keeps R M R = S M with S = -1 on the
     Neumann rows whenever the oscillator is odd under it (force.const = 0),
-    and R maps the lines below a line onto those above it. The check reads
-    the matrix, not the model, so a half that does not fit is factored.
+    and R maps the lines below a line onto those above it, so then
+    S R (D+L) R = D+U. The check reads the matrix, not the model, so a half
+    that does not fit is factored.
     """
     return (
         np.array_equal(lower.indptr, upper.indptr)
         and np.array_equal(lower.indices, upper.indices)
-        and np.array_equal(lower.data, sign[upper.indices] * upper.data)
+        and np.array_equal(lower.data, upper.data)
     )
 
 
-class _Reflected:
-    """The factor of S (D+U) = R (D+L) R, reached through the factor F of D+U.
-
-    Flipping the sign of rows flips only the signs of the incomplete LU, not
-    its dropping, so (S F)^-1 u = F^-1 (S u) and (S F)^-T u = S F^-T u, bit
-    for bit equal to a factor of its own. It holds the factor and the signs
-    only, so nothing refers back to the solver.
-    """
-
-    def __init__(self, factor, sign: np.ndarray):
-        self.factor, self.sign = factor, sign
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        if trans == "N":
-            return self.factor.solve(self.sign * rhs)
-        return self.sign * self.factor.solve(rhs, trans="T")
-
-
 def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
-    """Threshold incomplete LU of one block-upper-triangular half, in its own
-    order.
+    """Threshold incomplete LU of one half, in its own order.
 
     No pivoting and the plain threshold rule: SuperLU's default area rule
     (`basic,area`) stalls GMRES on long y-lines. Panels of one column and
@@ -190,32 +199,19 @@ def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
         raise PreconditionerBreakdown(str(exc)) from exc
 
 
-def _sgs(perm, lower, diag, upper, trans="N"):
-    """v -> P^T (D+U)^-1 D (D+L)^-1 P v, with (P v)[p] = v[perm[p]], or with
-    trans="T" its transpose v -> P^T (D+L)^-T D^T (D+U)^-T P v.
+def _sgs(first, diag, second):
+    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve.
 
-    `lower` factors R (D+L) R, by a factor of its own or as `_Reflected`
-    through `upper`, so (D+L)^-1 u = R lower^-1 R u, with the reversal R
-    folded into the gather and scatter through perm[::-1]. A closure over
-    the factors only, so the preconditioner holds no reference back to the
-    solver and a spent solver is freed by refcounting.
+    SuperLU's transposed solve gathers along the rows of the factor, where
+    its natural solve scatters down columns, and it is the faster mode on
+    the y-line factors, so every factor is of the matrix whose transpose
+    the sweep inverts. A closure over the factors only, so the
+    preconditioner holds no reference back to the solver and a spent
+    solver is freed by refcounting.
     """
-    rperm = perm[::-1].copy()
 
-    if trans == "N":
-
-        def apply(r):
-            out = np.empty_like(r)
-            out[perm] = upper.solve(diag @ lower.solve(r[rperm])[::-1])
-            return out
-
-    else:
-        diag_t = diag.T
-
-        def apply(r):
-            out = np.empty_like(r)
-            out[rperm] = lower.solve((diag_t @ upper.solve(r[perm], trans="T"))[::-1], trans="T")
-            return out
+    def apply(r):
+        return second.solve(diag @ first.solve(r, trans="T"), trans="T")
 
     return apply
 
@@ -296,85 +292,106 @@ def require_finite(b: np.ndarray) -> None:
 
 
 class ResolventSolver:
-    """Factors the matrix once and solves any number of right-hand sides.
+    """Factors the matrix once and solves any number of right-hand sides,
+    of M v = b, or with `adjoint` of M^T w = b.
 
     The factorization is the dominant cost, so it is built once here and
-    reused per solve. P A P^T is formed once in CSC, and D, D+U and D+L are
-    cut from it by the line of each entry's row and column. `upper` is the
-    incomplete factor of D+U and `lower` that of R (D+L) R: when that half
-    is S (D+U) bit for bit (`_mirrors`), `lower` applies `upper` with the
-    signs S (`_Reflected`) and only one incomplete LU is computed; otherwise
-    it is a factor of its own. `factors` lists the computed ones. `precond`
-    is the symmetric block Gauss-Seidel function built on them. `A` stays
-    the natural-order matrix, and `solve` takes and returns natural-order
-    vectors. `transpose` returns a solver for M^T on the same factors,
-    which finds the discrete invariant measure w = M^-T e_c of
-    `invariant_weights`.
+    reused per solve. P A P^T is formed once in y-line order, and D, D+U
+    and D+L are cut from it by the line of each entry's row and column.
+    Every factor is read through SuperLU's transposed solve only: a forward
+    solver factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the
+    CSR arrays of the halves, and an adjoint one factors D+U and
+    S R (D+L) R from the CSC. When the lower half is the upper one bit for
+    bit (`_mirrors`), one incomplete LU serves both sweeps; `factors` lists
+    the computed ones.
+
+    GMRES runs on the y-line matrix `Ay` with the reversal R and the signs
+    S folded in: S R P M P^T forward and P M^T P^T R S adjoint, one the
+    transpose of the other. Then the preconditioner `precond` is two
+    triangular solves and one product with the stored block diagonal, D R
+    forward and R D^T adjoint, with no gather: forward
+    (D+U)^-1 D (D+L)^-1 R S = (D+U)^-1 (D R) (S R (D+L) R)^-1, and adjoint
+    S R (D+L)^-T D^T (D+U)^-T = (S R (D+L) R)^-T (R D^T) (D+U)^-T. `solve`
+    takes and returns natural-order vectors and permutes each once
+    (`to_yline`, `to_natural`). `A` rebuilds the natural-order matrix, M or
+    M^T, on each access; the solver keeps only `Ay`.
     """
 
-    def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None):
+    def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None, adjoint: bool = False):
         self.cfg = cfg if cfg is not None else SolverConfig()
-        self.A = sys.to_csr()
-        self.n = sys.n
+        self.adjoint = adjoint
+        self.n = n = sys.n
         J = sys.shape[1]
-        perm, Ap = _yline_order(self.A, sys.shape)
-        # the line of each entry's column, less the line of its row
-        side = np.repeat(np.arange(self.n, dtype=np.int32) // J, np.diff(Ap.indptr))
-        side -= Ap.indices // J
-        upper_half = _cut(Ap, side >= 0)
-        lower_half = _cut(Ap, side <= 0, reverse=True)
-        # -1 on the Neumann rows, j in {0, J-1} of each line
-        sign = np.ones((self.n // J, J))
-        sign[:, [0, -1]] = -1.0
-        sign = sign.ravel()
+        perm, Ap = _yline_order(sys.to_csr(), sys.shape, adjoint)
+        # the row and column of each stored entry, in stored order
+        coo = Ap.tocoo(copy=False)
+        side = coo.col // J - coo.row // J
+        # S = -1 on the Neumann rows, j in {0, J-1} of each line; S R = R S
+        j = coo.row % J
+        flip = (j == 0) | (j == J - 1)
+        del coo, j
+        # read as CSC: D+U and S R (D+L) R adjoint, their transposes forward
+        upper_half = sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape)
+        lower_half = sp.csc_matrix(
+            _cut(Ap, side <= 0, major=True, minor=True, negate=flip), shape=Ap.shape
+        )
         # a half is dropped once it is factored or found mirrored, so
         # SuperLU's workspace never sits on top of both
-        if _mirrors(lower_half, upper_half, sign):
+        if _mirrors(lower_half, upper_half):
             del lower_half
-            self.upper = _ilu(upper_half, self.cfg)
-            self.lower = _Reflected(self.upper, sign)
+            upper = lower = _ilu(upper_half, self.cfg)
+            self.factors = (upper,)
         else:
-            self.lower = _ilu(lower_half, self.cfg)
+            lower = _ilu(lower_half, self.cfg)
             del lower_half
-            self.upper = _ilu(upper_half, self.cfg)
+            upper = _ilu(upper_half, self.cfg)
+            self.factors = (lower, upper)
         del upper_half
-        self.diag = _cut(Ap, side == 0).tocsr()
-        self.perm = perm
-        self._precondition("N")
+        # read as CSR: D R and S R P M P^T forward, their transposes adjoint;
+        # built after the factors, once SuperLU's workspace is freed
+        diag = sp.csr_matrix(_cut(Ap, side == 0, major=adjoint, minor=not adjoint), shape=Ap.shape)
+        del side
+        self.Ay = sp.csr_matrix(
+            _cut(Ap, major=not adjoint, minor=adjoint, negate=flip), shape=Ap.shape
+        )
+        del Ap, flip
+        self.precond = _sgs(upper, diag, lower) if adjoint else _sgs(lower, diag, upper)
+        # (Q v)[p] = s[p] v[q[p]] for Q = (q, s): P is (perm, 1) and S R P is
+        # (reversed perm, S); Ay = Q_rows (M or M^T) Q_cols^T
+        sign = np.ones((n // J, J))
+        sign[:, [0, -1]] = -1.0
+        flipped, plain = (perm[::-1].copy(), sign.ravel()), (perm, np.ones(n))
+        self._rows, self._cols = (plain, flipped) if adjoint else (flipped, plain)
+
+    def to_yline(self, b: np.ndarray) -> np.ndarray:
+        """Q_rows b: a natural-order right-hand side in the order of `Ay`."""
+        index, sign = self._rows
+        return sign * b[index]
+
+    def to_natural(self, z: np.ndarray) -> np.ndarray:
+        """Q_cols^T z: a solution of `Ay` in natural order."""
+        index, sign = self._cols
+        v = np.empty_like(z)
+        v[index] = sign * z
+        return v
 
     @property
-    def factors(self) -> tuple:
-        """The incomplete LUs this solver computed: one when the lower half
-        is reached through the upper one's factor, two otherwise."""
-        if isinstance(self.lower, _Reflected):
-            return (self.upper,)
-        return (self.lower, self.upper)
-
-    def _precondition(self, trans: str) -> None:
-        self.trans = trans
-        self.precond = _sgs(self.perm, self.lower, self.diag, self.upper, trans)
-
-    def transpose(self) -> ResolventSolver:
-        """A solver for M^T that shares this one's factors and settings.
-
-        It is built without `__init__`, so nothing is factored again. Its
-        preconditioner is the transpose of this one's, for a forward solver
-        P^T (D+L)^-T D^T (D+U)^-T P, and its `solve` checks the true residual
-        against M^T.
-        """
-        t = object.__new__(ResolventSolver)
-        t.cfg, t.n, t.A = self.cfg, self.n, self.A.T
-        t.lower, t.diag, t.upper, t.perm = self.lower, self.diag, self.upper, self.perm
-        t._precondition("T" if self.trans == "N" else "N")
-        return t
+    def A(self) -> sp.csr_matrix:
+        """The natural-order matrix this solver inverts, M or with `adjoint`
+        M^T, rebuilt from `Ay` on each access."""
+        coo = self.Ay.tocoo()
+        (rows, row_sign), (cols, col_sign) = self._rows, self._cols
+        data = row_sign[coo.row] * col_sign[coo.col] * coo.data
+        return sp.csr_matrix((data, (rows[coo.row], cols[coo.col])), shape=coo.shape)
 
     def solve(self, b: np.ndarray) -> SolveReport:
-        """Solve M v = b to ||M v - b|| <= rel_tol * ||b||.
+        """Solve M v = b (M^T v = b with `adjoint`) to
+        ||M v - b|| <= rel_tol * ||b||.
 
         Deterministic: no randomized components, fixed reduction order.
         Raises NonFiniteState for a NaN or infinite right-hand side, and
-        NoConvergence when the recomputed true residual is above the target
-        or not finite.
+        NoConvergence when the recomputed true residual, taken on `Ay`, is
+        above the target or not finite.
         """
         cfg = self.cfg
         require_finite(b)
@@ -382,13 +399,14 @@ class ResolventSolver:
         if bnorm == 0.0:
             return SolveReport(v=np.zeros(self.n), residual=0.0, iterations=0)
 
-        v, iters = _gmres(
-            self.A, b, self.precond, cfg.rel_tol * cfg.polish_factor, cfg.restart, cfg.max_iters
+        c = self.to_yline(b)
+        z, iters = _gmres(
+            self.Ay, c, self.precond, cfg.rel_tol * cfg.polish_factor, cfg.restart, cfg.max_iters
         )
-        res = float(np.linalg.norm(b - self.A @ v))
+        res = float(np.linalg.norm(c - self.Ay @ z))
         if not res <= cfg.rel_tol * bnorm:
             raise NoConvergence(iters, res / bnorm)
-        return SolveReport(v=v, residual=res, iterations=iters)
+        return SolveReport(v=self.to_natural(z), residual=res, iterations=iters)
 
 
 def solve_resolvent(sys: SparseSystem, cfg: SolverConfig | None = None) -> SolveReport:
@@ -421,18 +439,21 @@ def evaluate_statistic(v: np.ndarray, grid: Grid) -> tuple[float, float]:
 
 
 def invariant_weights(solver: ResolventSolver, grid: Grid) -> SolveReport:
-    """One solve of M^T w = e_c on the solver's factors; w is the report's v.
+    """One solve of M^T w = e_c on an adjoint solver; w is the report's v.
 
     Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g,
     so stat(g) = w @ g for every right-hand side g on the grid. w is the
     discrete invariant measure: its equation rows sum to 1 (the constant
     observable), and the small-lam limit of its mass is the invariant
     measure of the oscillator. On the Neumann rows w holds the multipliers
-    of the boundary conditions, not mass.
+    of the boundary conditions, not mass. A forward solver raises
+    ValueError before it iterates: it would solve M w = e_c instead.
     """
+    if not solver.adjoint:
+        raise ValueError("invariant_weights needs a solver built with adjoint=True")
     e = np.zeros(solver.n)
     grid.spec.field(e)[grid.center] = 1.0
-    return solver.transpose().solve(e)
+    return solver.solve(e)
 
 
 def _mass(w: np.ndarray, grid: Grid) -> np.ndarray:

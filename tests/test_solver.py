@@ -178,14 +178,14 @@ def test_inaccurate_gmres_result_with_success_flag_raises(grid9, matrix9, monkey
     assert info.value.residual > SolverConfig().rel_tol
 
 
-@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "adjoint"])
-def test_gmres_matches_a_dense_solve(grid9, matrix9, transpose):
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_gmres_matches_a_dense_solve(grid9, matrix9, adjoint):
     """On 9^3 the solve meets rel_tol on the true residual, and its field
     agrees with a dense LU solve to the accuracy that residual implies."""
-    solver = ResolventSolver(matrix9)
-    if transpose:
-        solver = solver.transpose()
+    solver = ResolventSolver(matrix9, adjoint=adjoint)
     dense = solver.A.toarray()
+    natural = matrix9.to_csr().toarray()
+    assert np.array_equal(dense, natural.T if adjoint else natural)
     b = assemble_rhs(grid9, mollified_crossing_speed(0.5, 1.0), 1e-2)
     rep = solver.solve(b)
     exact = np.linalg.solve(dense, b)
@@ -198,7 +198,7 @@ def test_gmres_matches_a_dense_solve(grid9, matrix9, transpose):
 def test_single_cycle_applies_the_preconditioner_once_per_step_plus_one(grid9, matrix9):
     """M^-1 goes once to b and once to each Arnoldi step, never twice to b.
     max_iters = 1 allows one restart cycle, and this solve converges in it."""
-    solver = ResolventSolver(matrix9, SolverConfig(max_iters=1)).transpose()
+    solver = ResolventSolver(matrix9, SolverConfig(max_iters=1), adjoint=True)
     applied = []
     precond = solver.precond
 
@@ -261,6 +261,13 @@ def test_elongated_band_system_solves_to_rel_tol():
     assert np.linalg.norm(b - matrix.to_csr() @ rep.v) == pytest.approx(rep.residual)
 
 
+def _natural_precond(solver):
+    """The solver's preconditioner, which acts on vectors in the order of
+    its y-line matrix, as an operator on natural-order vectors."""
+    columns = [solver.to_natural(solver.precond(solver.to_yline(e))) for e in np.eye(solver.n)]
+    return np.column_stack(columns)
+
+
 def _dense_sgs(matrix, I, J, K):
     """P^T (D+U)^-1 D (D+L)^-1 P from dense line blocks of the y-line order."""
     n = I * J * K
@@ -281,24 +288,21 @@ def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
     grid, matrix = _band_system(I, J, K)
     solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
     expected = _dense_sgs(matrix, I, J, K)
-    got = np.column_stack([solver.precond(e) for e in np.eye(I * J * K)])
+    got = _natural_precond(solver)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_transposed_solver_preconditions_with_the_transpose():
-    """transpose() reuses both factors and applies the dense transpose
-    P^T (D+L)^-T D^T (D+U)^-T P of the forward preconditioner."""
+    """An adjoint solver applies the dense transpose
+    P^T (D+L)^-T D^T (D+U)^-T P of the forward preconditioner, and its
+    matrix is M^T."""
     I, J, K = 5, 7, 5
     grid, matrix = _band_system(I, J, K)
-    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0))
-    adjoint = solver.transpose()
+    adjoint = ResolventSolver(matrix, SolverConfig(drop_tol=0.0), adjoint=True)
     expected = _dense_sgs(matrix, I, J, K).T
-    got = np.column_stack([adjoint.precond(e) for e in np.eye(I * J * K)])
+    got = _natural_precond(adjoint)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert adjoint.lower is solver.lower and adjoint.upper is solver.upper
     assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
-    e = np.arange(I * J * K, dtype=float)
-    assert np.array_equal(adjoint.transpose().precond(e), solver.precond(e))
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-3])
@@ -306,8 +310,9 @@ def test_transposed_solver_preconditions_with_the_transpose():
 def test_weights_reproduce_forward_statistics(N, lam):
     """stat(g) = e_c^T M^-1 g = w @ g with w = M^-T e_c, for every g."""
     grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
-    solver = ResolventSolver(assemble_matrix(grid, MODEL, lam))
-    w = invariant_weights(solver, grid).v
+    matrix = assemble_matrix(grid, MODEL, lam)
+    solver = ResolventSolver(matrix)
+    w = invariant_weights(ResolventSolver(matrix, adjoint=True), grid).v
     eps0 = 2.0 * (7.0 / (N - 1))
     for g in (mollified_crossing_speed(0.5, eps0), plastic_band(0.75), constant_observable(1.0)):
         b = assemble_rhs(grid, g, lam)
@@ -323,7 +328,7 @@ def test_weights_and_rice_rates_are_reflection_symmetric():
     symmetric, and Rice's rates at a and -a agree."""
     N, lam = 17, 1e-3
     grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
-    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam), adjoint=True), grid).v
     eq = w.reshape(N, N, N)[:, 1:-1, :]
     assert np.abs(eq - eq[::-1, ::-1, ::-1]).max() <= 1e-12 * np.abs(eq).max()
     peak = rice_rate(w, grid, 0.0)
@@ -342,7 +347,8 @@ LINEAR = ModelParams(alpha=1.0)
 
 def _linear_weights(N, lam):
     grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
-    return invariant_weights(ResolventSolver(assemble_matrix(grid, LINEAR, lam)), grid).v, grid
+    solver = ResolventSolver(assemble_matrix(grid, LINEAR, lam), adjoint=True)
+    return invariant_weights(solver, grid).v, grid
 
 
 def test_linear_limit_rice_rate_converges_to_the_closed_form():
@@ -372,7 +378,7 @@ def test_rice_rate_warns_in_the_outer_x_sheets():
     sheets on each side stay silent."""
     N, lam = 17, 1e-3
     grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
-    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam), adjoint=True), grid).v
     for a in (3.0, -3.0, 3.5, -3.5):
         with pytest.warns(UserWarning, match="outer x sheets"):
             rice_rate(w, grid, a)
@@ -385,7 +391,7 @@ def test_rice_rate_warns_in_the_outer_x_sheets():
 def test_rice_rate_interpolates_linearly_between_nodes():
     N, lam = 9, 1e-2
     grid = build_grid(GridSpec(lam=lam, I=N, J=N, K=N))
-    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam)), grid).v
+    w = invariant_weights(ResolventSolver(assemble_matrix(grid, MODEL, lam), adjoint=True), grid).v
     hx = 7.0 / (N - 1)
     lo, hi = rice_rate(w, grid, hx), rice_rate(w, grid, 2 * hx)
     assert rice_rate(w, grid, 1.25 * hx) == pytest.approx(0.75 * lo + 0.25 * hi, rel=1e-12)
@@ -422,32 +428,23 @@ def test_factors_without_warning_and_solves(shape, sigma):
     assert rep.residual <= solver.cfg.rel_tol * np.linalg.norm(b)
 
 
-def _two_factor_sgs(matrix, cfg, trans):
-    """The preconditioner with a factor of its own for each half."""
-    J = matrix.shape[1]
-    perm, Ap = solver_module._yline_order(matrix.to_csr(), matrix.shape)
-    # CSC: the line of each entry's column, less the line of its row
-    side = np.repeat(np.arange(matrix.n) // J, np.diff(Ap.indptr)) - Ap.indices // J
-    lower = solver_module._ilu(solver_module._cut(Ap, side <= 0, reverse=True), cfg)
-    upper = solver_module._ilu(solver_module._cut(Ap, side >= 0), cfg)
-    diag = solver_module._cut(Ap, side == 0).tocsr()
-    return solver_module._sgs(perm, lower, diag, upper, trans)
-
-
 @pytest.mark.parametrize("drop_tol", [1e-3, 0.0])
 @pytest.mark.parametrize("shape", [(5, 7, 9), (9, 9, 9), (17, 9, 13)], ids=str)
-def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol):
-    """The lower sweep through the factor of D+U, with the Neumann signs,
-    applies bit for bit what a factor of R (D+L) R applies, forward and
-    transposed."""
+def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol, monkeypatch):
+    """The lower sweep through the factor of the upper half applies bit for
+    bit what a factor of S R (D+L) R of its own applies, forward and
+    adjoint."""
     _, matrix = _band_system(*shape)
     cfg = SolverConfig(drop_tol=drop_tol)
-    solver = ResolventSolver(matrix, cfg)
-    assert len(solver.factors) == 1
     r = np.random.default_rng(3).standard_normal(matrix.n)
-    assert np.array_equal(solver.precond(r), _two_factor_sgs(matrix, cfg, "N")(r))
-    adjoint = solver.transpose()
-    assert np.array_equal(adjoint.precond(r), _two_factor_sgs(matrix, cfg, "T")(r))
+    for adjoint in (False, True):
+        solver = ResolventSolver(matrix, cfg, adjoint=adjoint)
+        assert len(solver.factors) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_mirrors", lambda lower, upper: False)
+            own = ResolventSolver(matrix, cfg, adjoint=adjoint)
+        assert len(own.factors) == 2
+        assert np.array_equal(solver.precond(r), own.precond(r))
 
 
 @pytest.mark.parametrize(
@@ -462,9 +459,9 @@ def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol):
     ids=["default", "c0", "c1", "alpha-b", "const"],
 )
 def test_one_incomplete_lu_unless_the_force_has_an_offset(model, factored, monkeypatch):
-    """A model odd under the point reflection factors D+U only; a constant
-    force term breaks the mirror and both halves are factored. transpose()
-    factors nothing."""
+    """A model odd under the point reflection factors one half only, forward
+    and adjoint; a constant force term breaks the mirror and both halves
+    are factored."""
     grid = build_grid(GridSpec(b=model.b, lam=1e-2, I=9, J=9, K=9))
     matrix = assemble_matrix(grid, model, 1e-2)
     calls = []
@@ -475,10 +472,10 @@ def test_one_incomplete_lu_unless_the_force_has_an_offset(model, factored, monke
         return real_ilu(half, cfg)
 
     monkeypatch.setattr(solver_module, "_ilu", counted)
-    solver = ResolventSolver(matrix)
-    assert len(calls) == len(solver.factors) == factored
-    solver.transpose().transpose()
-    assert len(calls) == factored
+    for adjoint in (False, True):
+        calls.clear()
+        solver = ResolventSolver(matrix, adjoint=adjoint)
+        assert len(calls) == len(solver.factors) == factored
 
 
 def test_force_offset_solves_with_two_factors():
@@ -486,11 +483,12 @@ def test_force_offset_solves_with_two_factors():
     adjoint solves still meet rel_tol and agree with a dense solve."""
     model = ModelParams(force=ForceSpec(const=0.3))
     grid = build_grid(GridSpec(lam=1e-2, I=9, J=9, K=9))
-    solver = ResolventSolver(assemble_matrix(grid, model, 1e-2))
-    assert len(solver.factors) == 2
+    matrix = assemble_matrix(grid, model, 1e-2)
     b = assemble_rhs(grid, mollified_crossing_speed(0.5, 1.0), 1e-2)
-    rel_tol = solver.cfg.rel_tol
-    for s in (solver, solver.transpose()):
+    for adjoint in (False, True):
+        s = ResolventSolver(matrix, adjoint=adjoint)
+        assert len(s.factors) == 2
+        rel_tol = s.cfg.rel_tol
         dense = s.A.toarray()
         exact = np.linalg.solve(dense, b)
         rep = s.solve(b)
@@ -517,3 +515,42 @@ def test_forward_band_solve_keeps_its_basis_until_the_true_residual_is_met():
     rep = solver.solve(b)
     assert rep.residual <= solver.cfg.rel_tol * np.linalg.norm(b)
     assert len(applied) == rep.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "model", [ModelParams(), ModelParams(force=ForceSpec(const=0.3))], ids=["default", "const"]
+)
+def test_every_triangular_solve_is_transposed(model, monkeypatch):
+    """SuperLU's transposed solve, which gathers along the rows of the
+    factor, is its faster mode; a forward and an adjoint solve call no
+    other, with one factor or two."""
+    grid = build_grid(GridSpec(lam=1e-2, I=9, J=9, K=9))
+    matrix = assemble_matrix(grid, model, 1e-2)
+    modes = []
+    real_ilu = solver_module._ilu
+
+    class Spy:
+        def __init__(self, factor):
+            self.factor, self.nnz = factor, factor.nnz
+
+        def solve(self, rhs, *args, **kwargs):
+            modes.append((args, kwargs))
+            return self.factor.solve(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_ilu", lambda half, cfg: Spy(real_ilu(half, cfg)))
+    b = assemble_rhs(grid, plastic_band(0.5), 1e-2)
+    for adjoint in (False, True):
+        assert ResolventSolver(matrix, adjoint=adjoint).solve(b).iterations > 0
+    assert modes and all(mode == ((), {"trans": "T"}) for mode in modes)
+
+
+def test_invariant_weights_rejects_a_forward_solver(grid9, matrix9, monkeypatch):
+    """A forward solver would solve M w = e_c, and at small lam it iterates
+    for minutes before it fails; it raises before GMRES starts."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("GMRES ran for the weights on a forward solver")
+
+    monkeypatch.setattr(solver_module, "_gmres", never)
+    with pytest.raises(ValueError, match="adjoint=True"):
+        invariant_weights(ResolventSolver(matrix9), grid9)
