@@ -63,7 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    text = args.config.read_text() if args.config else ""
+    try:
+        text = args.config.read_text() if args.config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read the config document: {exc}", file=sys.stderr)
+        return 1
     try:
         if args.threads < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")

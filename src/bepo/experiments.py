@@ -341,28 +341,26 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
 
     Each axis is refined n_refinements times while the other axes stay at
     the base resolution; consecutive-level sup differences and the order
-    estimates between them are reported per axis. The manifest's `stages`
-    sums the stage records of every level's factor-and-solve; with
-    threads > 1 the levels overlap, so the seconds add up to more than the
-    wall clock.
+    estimates between them are reported per axis. One executor of `threads`
+    workers solves each distinct level once, the shared base included. The
+    manifest's `stages` sums their stage records; with threads > 1 the
+    levels overlap, so the seconds add up to more than the wall clock.
     """
     t0 = time.perf_counter()
     g = observable_from_config(cfg)
-    rows = []
+    n = cfg.n_refinements
+    ladders = {axis: refinement_ladder(cfg.grid, axis, n).levels for axis in ("x", "y", "z")}
+    distinct = list(dict.fromkeys(spec for specs in ladders.values() for spec in specs))
 
     def solve_on(spec: GridSpec):
         report, _, _, stages = _factor_and_solve(cfg, spec, [g], adjoint=False)
         return report, stages
 
-    base, base_stages = solve_on(cfg.grid)
-    level_stages = [base_stages]
-    for axis in ("x", "y", "z"):
-        ladder = refinement_ladder(cfg.grid, axis, cfg.n_refinements)
-        specs = list(ladder.levels)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_on, specs[1:]))
-        reports = [base] + [report for report, _ in solved]
-        level_stages += [stages for _, stages in solved]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        solved = dict(zip(distinct, pool.map(solve_on, distinct)))
+    rows = []
+    for axis, specs in ladders.items():
+        reports = [solved[spec][0] for spec in specs]
         diffs = [
             sup_diff_on_common(
                 reports[m].v, reports[m + 1].v, specs[m], specs[m + 1], cfg.interior_only
@@ -388,7 +386,7 @@ def run_convergence(cfg: RunConfig, out: Path, threads: int = 1):
     out.mkdir(parents=True, exist_ok=True)
     keys = ["axis", "level", "h", "diff", "order"]
     _write_csv(out / "convergence.csv", ",".join(keys), ([r[k] for k in keys] for r in rows))
-    stages = {key: sum(st[key] for st in level_stages) for key in level_stages[0]}
+    stages = {key: sum(st[key] for _, st in solved.values()) for key in solved[cfg.grid][1]}
     write_manifest(out, cfg, rows, time.perf_counter() - t0, stages=stages)
     return rows
 

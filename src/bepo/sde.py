@@ -196,7 +196,10 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     (N*sqrt(dt))*sigma + e and transposed once into the y rows. Each step
     is then eleven `out=` ufunc calls on one-dimensional rows, in
     step_euler's association and on its coefficients (`_step_coefficients`).
+    Raises DegenerateInput for a block below 1.
     """
+    if block < 1:
+        raise DegenerateInput(f"block must be >= 1, got {block}")
     rngs = _path_generators(cfg.seed, cfg.n_paths)
     npth = cfg.n_paths
     dt = cfg.dt
@@ -573,12 +576,15 @@ def lyapunov_check_mc(
 
     Uses a zero burn-in run (the bound covers the transient) and flags a
     checkpoint when mean - 3*se exceeds the bound, se being across paths.
-    Raises DegenerateInput below 2 paths; n_paths >= 100 is expected for
-    the statistics to mean anything.
+    Raises DegenerateInput below 2 paths, for no checkpoint, and, through
+    simulate_paths before any path is set up, for a block below 1;
+    n_paths >= 100 is expected for the statistics to mean anything.
     """
     if cfg.n_paths < 2:
         raise DegenerateInput(f"the energy check needs >= 2 paths, got {cfg.n_paths}")
     checkpoint_times = sorted(checkpoint_times)
+    if not checkpoint_times:
+        raise DegenerateInput("the energy check needs at least one checkpoint time")
     steps = [max(1, int(round(t / cfg.dt))) for t in checkpoint_times]
     n_steps = max(steps)
     run_cfg = dataclasses.replace(cfg, n_steps=n_steps, burn_in=0)

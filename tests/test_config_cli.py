@@ -520,6 +520,19 @@ def test_cli_error_path(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_cli_unreadable_config_is_an_error_line(tmp_path, capsys, kind):
+    config = tmp_path / "run.cfg"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "not-utf8":
+        config.write_bytes(b"grid.I = 9\n\xff\n")
+    rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_solve_with_nan_level_fails_fast(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -561,18 +574,39 @@ def test_run_convergence_small(tmp_path):
     assert len(lines) == 1 + 9
 
 
-def test_threaded_convergence_matches_serial(tmp_path):
+# 8 workers are more than the 4 distinct levels of one refinement per axis
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_threaded_convergence_matches_serial(tmp_path, threads):
     from bepo.experiments import run_convergence
 
     cfg = quick_config("observable.kind = band\nconvergence.n_refinements = 1\n")
     cfg.experiment = "convergence"
-    outs = {threads: tmp_path / f"t{threads}" for threads in (1, 2)}
-    for threads, out in outs.items():
-        run_convergence(cfg, out, threads)
-    csv = [(out / "convergence.csv").read_bytes() for out in outs.values()]
-    rows = [json.loads((out / "manifest.json").read_text())["rows"] for out in outs.values()]
+    outs = [tmp_path / "serial", tmp_path / f"t{threads}"]
+    for out, workers in zip(outs, (1, threads)):
+        run_convergence(cfg, out, workers)
+    csv = [(out / "convergence.csv").read_bytes() for out in outs]
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
     assert csv[0] == csv[1]
-    assert rows[0] == rows[1]
+    assert manifests[0]["rows"] == manifests[1]["rows"]
+    for key in ("factors", "factor_nnz"):
+        assert manifests[0]["stages"][key] == manifests[1]["stages"][key]
+
+
+@pytest.mark.parametrize("n_refinements", [0, 1, 2])
+def test_convergence_solves_each_distinct_level_once(tmp_path, monkeypatch, n_refinements):
+    specs = []
+    real = experiments._factor_and_solve
+
+    def counted(cfg, spec, observables, adjoint):
+        specs.append(spec)
+        return real(cfg, spec, observables, adjoint)
+
+    monkeypatch.setattr(experiments, "_factor_and_solve", counted)
+    cfg = quick_config(f"observable.kind = band\nconvergence.n_refinements = {n_refinements}\n")
+    rows = experiments.run_convergence(cfg, tmp_path, threads=2)
+    assert len(specs) == 1 + 3 * n_refinements
+    assert len(set(specs)) == len(specs) and cfg.grid in specs
+    assert len(rows) == 3 * (1 + n_refinements)
 
 
 def test_run_cross_validate_small(tmp_path):

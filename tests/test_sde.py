@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bepo import sde
 from bepo.errors import DegenerateInput, NegativeBand, NonFiniteState
 from bepo.model import ForceSpec, ModelParams, drift_beta, lyapunov_constants, lyapunov_value
 from bepo.sde import (
@@ -449,6 +450,38 @@ def test_lyapunov_check_needs_two_paths():
     cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=1, seed=0)
     with pytest.raises(DegenerateInput, match="2 paths"):
         lyapunov_check_mc(cfg, MODEL, r, checkpoint_times=[0.1])
+
+
+def _never_set_up(monkeypatch):
+    """Fail any run that gets as far as making its path generators: with no
+    rows per block a run that starts never advances."""
+
+    def never(seed, n_paths):
+        raise AssertionError("the paths were set up before the input was checked")
+
+    monkeypatch.setattr(sde, "_path_generators", never)
+
+
+def test_simulate_paths_rejects_an_empty_block_before_any_allocation(monkeypatch):
+    _never_set_up(monkeypatch)
+    cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=2, seed=0)
+    with pytest.raises(DegenerateInput, match="block"):
+        simulate_paths(cfg, MODEL, block=0)
+
+
+@pytest.mark.parametrize(
+    "block, times, match",
+    [(0, [0.1], "block"), (256, [], "checkpoint")],
+    ids=["block-0", "no-checkpoint"],
+)
+def test_lyapunov_check_rejects_an_empty_block_or_no_checkpoint(
+    monkeypatch, block, times, match
+):
+    _never_set_up(monkeypatch)
+    r = lyapunov_constants(MODEL)
+    cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=2, seed=0)
+    with pytest.raises(DegenerateInput, match=match):
+        lyapunov_check_mc(cfg, MODEL, r, checkpoint_times=times, block=block)
 
 
 def test_lyapunov_bound_uses_initial_energy():
