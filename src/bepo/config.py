@@ -95,75 +95,52 @@ class RunConfig:
         return self.grid.x_bar / 64.0 if self.eps0 is None else self.eps0
 
 
-# key -> value type: the flat schema of the document, in the order
-# serialize_config writes it. The last three keys are written only when set.
+# key -> (block, field, value type): the flat schema of the document, in the
+# order serialize_config writes it. Block "" is RunConfig itself and "init"
+# is sim.init. The last three keys are written only when set.
 _SCHEMA = {
-    "model.k": float,
-    "model.alpha": float,
-    "model.b": float,
-    "model.sigma": float,
-    "force.c0": float,
-    "force.c1": float,
-    "force.const": float,
-    "grid.x_bar": float,
-    "grid.y_bar": float,
-    "grid.lambda": float,
-    "grid.I": int,
-    "grid.J": int,
-    "grid.K": int,
-    "solver.rel_tol": float,
-    "solver.max_iters": int,
-    "solver.restart": int,
-    "solver.drop_tol": float,
-    "solver.polish_factor": float,
-    "sim.dt": float,
-    "sim.n_steps": int,
-    "sim.seed": int,
-    "sim.n_paths": int,
-    "sim.init_x": float,
-    "sim.init_y": float,
-    "sim.init_z": float,
-    "experiment": str,
-    "observable.kind": str,
-    "observable.a1": float,
-    "observable.a2": float,
-    "observable.c": float,
-    "mc.enabled": bool,
-    "convergence.n_refinements": int,
-    "convergence.interior_only": bool,
-    "output.record_stride": int,
-    "sim.burn_in": int,
-    "observable.eps0": float,
-    "sweep.values": "floatlist",
+    "model.k":                   ("model", "k", float),
+    "model.alpha":               ("model", "alpha", float),
+    "model.b":                   ("model", "b", float),
+    "model.sigma":               ("model", "sigma", float),
+    "force.c0":                  ("force", "c0", float),
+    "force.c1":                  ("force", "c1", float),
+    "force.const":               ("force", "const", float),
+    "grid.x_bar":                ("grid", "x_bar", float),
+    "grid.y_bar":                ("grid", "y_bar", float),
+    "grid.lambda":               ("grid", "lam", float),
+    "grid.I":                    ("grid", "I", int),
+    "grid.J":                    ("grid", "J", int),
+    "grid.K":                    ("grid", "K", int),
+    "solver.rel_tol":            ("solver", "rel_tol", float),
+    "solver.max_iters":          ("solver", "max_iters", int),
+    "solver.restart":            ("solver", "restart", int),
+    "solver.drop_tol":           ("solver", "drop_tol", float),
+    "solver.polish_factor":      ("solver", "polish_factor", float),
+    "sim.dt":                    ("sim", "dt", float),
+    "sim.n_steps":               ("sim", "n_steps", int),
+    "sim.seed":                  ("sim", "seed", int),
+    "sim.n_paths":               ("sim", "n_paths", int),
+    "sim.init_x":                ("init", "x", float),
+    "sim.init_y":                ("init", "y", float),
+    "sim.init_z":                ("init", "z", float),
+    "experiment":                ("", "experiment", str),
+    "observable.kind":           ("", "observable", str),
+    "observable.a1":             ("", "a1", float),
+    "observable.a2":             ("", "a2", float),
+    "observable.c":              ("", "g_const", float),
+    "mc.enabled":                ("", "mc_enabled", bool),
+    "convergence.n_refinements": ("", "n_refinements", int),
+    "convergence.interior_only": ("", "interior_only", bool),
+    "output.record_stride":      ("", "record_stride", int),
+    "sim.burn_in":               ("sim", "burn_in", int),
+    "observable.eps0":           ("", "eps0", float),
+    "sweep.values":              ("", "sweep", "floatlist"),
 }
-
-# the blocks of RunConfig a key's section may name; a key of any other section
-# is a field of RunConfig itself (block "")
-_BLOCKS = ("model", "force", "grid", "solver", "sim", "init")
-
-# keys whose field is not the key's last part
-_RENAMED = {
-    "grid.lambda": "lam",
-    "sim.init_x": "x",
-    "sim.init_y": "y",
-    "sim.init_z": "z",
-    "observable.kind": "observable",
-    "observable.c": "g_const",
-    "mc.enabled": "mc_enabled",
-    "sweep.values": "sweep",
-}
-
-
-def _place(key: str) -> tuple[str, str]:
-    """(block, field) of a document key; `sim.init_*` go to block `init`."""
-    section, _, last = key.rpartition(".")
-    if key.startswith("sim.init_"):
-        section = "init"
-    return section if section in _BLOCKS else "", _RENAMED.get(key, last)
 
 
 def _parse_value(key: str, raw: str, lineno: int):
-    kind = _SCHEMA[key]
+    kind = _SCHEMA[key][2]
     try:
         if kind is float:
             return float(raw)
@@ -183,7 +160,7 @@ def _parse_value(key: str, raw: str, lineno: int):
 
 
 def _format_value(key: str, value) -> str:
-    kind = _SCHEMA[key]
+    kind = _SCHEMA[key][2]
     if kind is float:
         return repr(value)
     if kind is bool:
@@ -216,7 +193,7 @@ def parse_config(
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-        block, name = _place(key)
+        block, name, _ = _SCHEMA[key]
         if name in fields[block]:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         fields[block][name] = _parse_value(key, raw, lineno)
@@ -251,10 +228,9 @@ def serialize_config(cfg: RunConfig) -> str:
         "init": cfg.sim.init,
     }
     lines = []
-    for key in _SCHEMA:
-        block, name = _place(key)
+    for key, (block, name, kind) in _SCHEMA.items():
         value = getattr(blocks[block], name)
-        if value is None or (_SCHEMA[key] == "floatlist" and not value):
+        if value is None or (kind == "floatlist" and not value):
             continue  # an unset optional key
         lines.append(f"{key} = {_format_value(key, value)}")
     return "\n".join(lines) + "\n"

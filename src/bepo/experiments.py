@@ -245,18 +245,18 @@ def run_simulate(cfg: RunConfig, out: Path) -> dict:
     return row
 
 
-def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
+def _level_rows(cfg: RunConfig, crossing, band):
     """One row per crossing level, then per band radius, from one adjoint
     solve and at most one Monte Carlo run, for the sweeps and
     `cross-validate`.
 
     Every PDE statistic is w @ g on the weights w of `invariant_weights`.
-    With `mc` one shared set of paths feeds a `CrossingObserver` and a
-    `BandObserver`; without it mc and mc_se are NaN. A row holds kind,
+    With `cfg.mc_enabled` one shared set of paths feeds a `CrossingObserver`
+    and a `BandObserver`; without it mc and mc_se are NaN. A row holds kind,
     level, pde, mc, mc_se, residual and iterations, and a crossing row also
     nu_rice, Rice's rate on w. Returns the rows, w's `weight_diagnostics`
-    and the stage record, which with `mc` adds the seconds of the Monte
-    Carlo run (observers included) and its path-steps per second.
+    and the stage record, which with Monte Carlo on adds the seconds of the
+    Monte Carlo run (observers included) and its path-steps per second.
     """
     kinds = ["crossing"] * len(crossing) + ["band"] * len(band)
     levels = crossing + band
@@ -268,7 +268,7 @@ def _level_rows(cfg: RunConfig, crossing, band, mc: bool):
     # that the PDE phase leaves behind
     del observables, rhs
     estimates = [(math.nan, math.nan)] * len(levels)
-    if mc:
+    if cfg.mc_enabled:
         sim = cfg.sim
         crossings = CrossingObserver(crossing, sim.dt, sim.n_paths)
         bands = BandObserver(band, sim.n_paths)
@@ -295,7 +295,7 @@ def _sweep(cfg: RunConfig, out: Path, kind: str):
     levels = list(cfg.sweep)
     crossing = kind == "crossing"
     found, weights, stages = _level_rows(
-        cfg, levels if crossing else [], [] if crossing else levels, cfg.mc_enabled
+        cfg, levels if crossing else [], [] if crossing else levels
     )
     keys = ["level", "pde", "mc", "mc_se"] + (["nu_rice"] if crossing else []) + ["residual"]
     rows = [{key: r[key] for key in keys + ["iterations"]} for r in found]
@@ -405,7 +405,7 @@ def run_cross_validate(cfg: RunConfig, out: Path):
     """
     t0 = time.perf_counter()
     a1_levels = list(cfg.sweep) if cfg.sweep else [cfg.a1]
-    found, weights, stages = _level_rows(cfg, a1_levels, [cfg.a2], cfg.mc_enabled)
+    found, weights, stages = _level_rows(cfg, a1_levels, [cfg.a2])
 
     def compare(r, kind, pde):
         gap, mse = pde - r["mc"], r["mc_se"]

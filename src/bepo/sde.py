@@ -298,25 +298,6 @@ class PhaseEventObserver:
         self._prev = int(codes[-1])
 
 
-class _BoxObserver:
-    """Fraction of observed samples outside [-x_bar,x_bar] x [-y_bar,y_bar]."""
-
-    def __init__(self, x_bar, y_bar):
-        self.x_bar, self.y_bar = x_bar, y_bar
-        self.outside = 0
-        self.total = 0
-
-    def update(self, t0, xs, ys, zs):
-        self.outside += int(
-            ((np.abs(xs) > self.x_bar) | (np.abs(ys) > self.y_bar)).sum()
-        )
-        self.total += xs.size
-
-    @property
-    def fraction(self):
-        return self.outside / self.total if self.total else 0.0
-
-
 class SampleRecorder:
     """Stores every observed state; for tests and trajectory dumps only."""
 
@@ -357,7 +338,10 @@ def simulate_trajectory(
     obs = list(observers) + [phase_obs]
     box_obs = None
     if box is not None:
-        box_obs = _BoxObserver(*box)
+        x_bar, y_bar = box
+        box_obs = MeanObserver(
+            lambda xs, ys, zs: (np.abs(xs) > x_bar) | (np.abs(ys) > y_bar)
+        )
         obs.append(box_obs)
     x, y, z = simulate_paths(cfg, p, obs)
     zf = float(z[0])
@@ -366,7 +350,7 @@ def simulate_trajectory(
         final=final,
         n_observed=cfg.n_steps - cfg.effective_burn_in,
         events=phase_obs.events,
-        outside_box_fraction=None if box_obs is None else box_obs.fraction,
+        outside_box_fraction=None if box_obs is None else box_obs.mean,
     )
 
 
@@ -576,16 +560,24 @@ def lyapunov_check_mc(
 
     Uses a zero burn-in run (the bound covers the transient) and flags a
     checkpoint when mean - 3*se exceeds the bound, se being across paths.
-    Raises DegenerateInput below 2 paths, for no checkpoint, and, through
-    simulate_paths before any path is set up, for a block below 1;
-    n_paths >= 100 is expected for the statistics to mean anything.
+    Raises DegenerateInput below 2 paths, for no checkpoint, for a
+    checkpoint time that is not finite or rounds to no step (round(t / dt)
+    below 1), and, through simulate_paths before any path is set up, for a
+    block below 1; n_paths >= 100 is expected for the statistics to mean
+    anything.
     """
     if cfg.n_paths < 2:
         raise DegenerateInput(f"the energy check needs >= 2 paths, got {cfg.n_paths}")
     checkpoint_times = sorted(checkpoint_times)
     if not checkpoint_times:
         raise DegenerateInput("the energy check needs at least one checkpoint time")
-    steps = [max(1, int(round(t / cfg.dt))) for t in checkpoint_times]
+    for t in checkpoint_times:
+        if not (math.isfinite(t) and round(t / cfg.dt) >= 1):
+            raise DegenerateInput(
+                f"checkpoint time {t} is not a finite time of at least one "
+                f"step of dt = {cfg.dt}"
+            )
+    steps = [int(round(t / cfg.dt)) for t in checkpoint_times]
     n_steps = max(steps)
     run_cfg = dataclasses.replace(cfg, n_steps=n_steps, burn_in=0)
 

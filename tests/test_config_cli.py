@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -7,9 +8,12 @@ import scipy.sparse.linalg as spla
 
 from bepo import cli, experiments
 from bepo.cli import main
-from bepo.config import RunConfig, parse_config, serialize_config
+from bepo.config import _SCHEMA, RunConfig, parse_config, serialize_config
 from bepo.errors import NonFiniteState, ParseError, ValidationError
 from bepo.experiments import run_crossing_sweep, run_serviceability_sweep
+from bepo.grid import GridSpec
+from bepo.model import ForceSpec, ModelParams
+from bepo.sde import OscState, SimConfig
 from bepo.solver import ResolventSolver, SolverConfig
 
 
@@ -345,6 +349,28 @@ def test_serialized_config_text_is_pinned():
     cfg = parse_config(EVERY_KEY_DOCUMENT)
     assert serialize_config(cfg) == EVERY_KEY_TEXT
     assert parse_config(EVERY_KEY_TEXT) == cfg
+
+
+def test_schema_gives_every_dataclass_field_one_key():
+    """Each key's (block, field) is a field of that block's class, and each
+    field that is not itself a block has exactly one key: a field without
+    one would be left out of every manifest. GridSpec.b is set from model.b
+    and OscState.phase follows from z."""
+    classes = {
+        "": RunConfig, "model": ModelParams, "force": ForceSpec, "grid": GridSpec,
+        "solver": SolverConfig, "sim": SimConfig, "init": OscState,
+    }
+    placed = [(block, name) for block, name, _ in _SCHEMA.values()]
+    for block, name in placed:
+        assert name in {f.name for f in dataclasses.fields(classes[block])}
+    assert len(set(placed)) == len(placed)
+    fields = {
+        (block, f.name)
+        for block, cls in classes.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in classes
+    }
+    assert set(placed) == fields - {("grid", "b"), ("init", "phase")}
 
 
 def quick_config(extra=""):

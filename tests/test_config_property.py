@@ -35,7 +35,7 @@ def values(key):
     choices = [st.just(VALID[key]), numbers, odd_strings]
     if key in NAMES:
         choices.insert(0, st.sampled_from(NAMES[key]))
-    if _SCHEMA[key] == "floatlist":
+    if _SCHEMA[key][2] == "floatlist":
         choices.insert(0, st.lists(numbers, max_size=4).map(", ".join))
     return st.one_of(*choices)
 

@@ -243,10 +243,16 @@ def test_trajectory_run_rejects_several_paths():
 
 def test_outside_box_fraction():
     cfg = SimConfig(dt=1e-3, n_steps=20_000, burn_in=0, seed=2)
-    stats = simulate_trajectory(cfg, MODEL, box=(3.5, 3.5))
+    recorder = SampleRecorder()
+    stats = simulate_trajectory(cfg, MODEL, [recorder], box=(3.5, 3.5))
     assert 0.0 <= stats.outside_box_fraction < 0.05
     tight = simulate_trajectory(cfg, MODEL, box=(0.1, 0.1))
     assert tight.outside_box_fraction > stats.outside_box_fraction
+    # the same share as counted on the recorded samples, to the last bit
+    xs, ys, _ = recorder.arrays()
+    for box, run in (((3.5, 3.5), stats), ((0.1, 0.1), tight)):
+        outside = int(((np.abs(xs) > box[0]) | (np.abs(ys) > box[1])).sum())
+        assert run.outside_box_fraction == outside / xs.size
 
 
 # --- estimators ------------------------------------------------------------------
@@ -471,8 +477,19 @@ def test_simulate_paths_rejects_an_empty_block_before_any_allocation(monkeypatch
 
 @pytest.mark.parametrize(
     "block, times, match",
-    [(0, [0.1], "block"), (256, [], "checkpoint")],
-    ids=["block-0", "no-checkpoint"],
+    [
+        (0, [0.1], "block"),
+        (256, [], "checkpoint"),
+        # times that are not finite or round to no step of dt = 1e-3
+        (256, [-2.0, 0.001], "checkpoint time"),
+        (256, [0.0004], "checkpoint time"),
+        (256, [math.nan], "checkpoint time"),
+        (256, [math.inf], "checkpoint time"),
+    ],
+    ids=[
+        "block-0", "no-checkpoint", "negative-time", "below-half-step", "nan-time",
+        "inf-time",
+    ],
 )
 def test_lyapunov_check_rejects_an_empty_block_or_no_checkpoint(
     monkeypatch, block, times, match
