@@ -256,7 +256,8 @@ def _level_rows(cfg: RunConfig, crossing, band):
     level, pde, mc, mc_se, residual and iterations, and a crossing row also
     nu_rice, Rice's rate on w. Returns the rows, w's `weight_diagnostics`
     and the stage record, which with Monte Carlo on adds the seconds of the
-    Monte Carlo run (observers included) and its path-steps per second.
+    Monte Carlo run (observers included), `simulate_paths`' `observe_s` and
+    `noise_wait_s` within it, and its path-steps per second.
     """
     kinds = ["crossing"] * len(crossing) + ["band"] * len(band)
     levels = crossing + band
@@ -274,7 +275,7 @@ def _level_rows(cfg: RunConfig, crossing, band):
         bands = BandObserver(band, sim.n_paths)
         observers = [obs for obs, on in ((crossings, crossing), (bands, band)) if on]
         start = time.perf_counter()
-        simulate_paths(sim, cfg.model, observers)
+        simulate_paths(sim, cfg.model, observers, stages=stages)
         stages["simulate_s"] = time.perf_counter() - start
         stages["path_steps_per_s"] = sim.n_paths * sim.n_steps / stages["simulate_s"]
         estimates = [crossings.frequency(i) for i in range(len(crossing))] + [

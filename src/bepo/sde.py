@@ -22,11 +22,14 @@ e = const*dt. It equals the form above up to rounding in the last bits.
 Paths are vectorized: the engine advances all paths in lock-step, drawing
 each path's noise from its own generator keyed by (seed, path index), so
 results do not depend on block size, on the number of paths or on worker
-count. Noise is drawn a block at a time, path-major (one contiguous
-standard_normal call per path into a reused (n_paths, block) buffer). Each
-step runs on preallocated arrays with `out=` ufuncs in the association of
-step_euler, on the same coefficients, so every sample is bit-identical to
-the scalar step_euler, which stays as the oracle.
+count. The noise is drawn in one forked producer process while the paths
+step: a block at a time, path-major (one contiguous standard_normal call
+per path into a reused (n_paths, block) buffer), turned into sigma*dW + e
+and written transposed into one of two shared slots, which are the
+stepping process's y rows. Each step runs on preallocated arrays with
+`out=` ufuncs in the association of step_euler, on the same coefficients,
+so every sample is bit-identical to the scalar step_euler, which stays as
+the oracle.
 
 Observers consume blocks of states shaped (steps, n_paths) after burn-in.
 The blocks are views of buffers that the next block overwrites, so an
@@ -36,14 +39,18 @@ independent paths; a single path reports NaN.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import mmap
+import signal
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateInput, NegativeBand, NonFiniteState
+from .errors import BepoError, DegenerateInput, NegativeBand, NonFiniteState
 from .model import LyapunovReport, ModelParams, lyapunov_value
 
 __all__ = [
@@ -106,6 +113,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         init = self.init
@@ -179,7 +188,38 @@ def _path_generators(seed: int, n_paths: int) -> list[np.random.Generator]:
     ]
 
 
-def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 1024):
+def _produce(here, there, seed, ring, n_steps, sqdt, sigma, e):
+    """The noise producer's loop, run in the forked child: block k's
+    sigma*dW + e is drawn path-major into a private buffer, scaled in place
+    and written transposed into ring slot k % 2 once the parent has handed
+    that slot back. The child makes the per-path generators, so the parent
+    never holds them. Returns quietly when the parent is gone."""
+    here.close()  # the parent's end: with it closed, a dead parent reads as EOF
+    # Ctrl-C reaches the whole process group; the parent ends this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _, rows, npth = ring.shape
+    rngs = _path_generators(seed, npth)
+    noise = np.empty((npth, rows))
+    try:
+        for k, first in enumerate(range(0, n_steps, rows)):
+            nb = min(rows, n_steps - first)
+            for ip, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[ip, :nb])
+            dW = noise[:, :nb]
+            dW *= sqdt
+            dW *= sigma
+            dW += e
+            if k >= 2:
+                there.recv_bytes()  # the parent is done with block k - 2
+            ring[k % 2, :nb] = dW.T
+            there.send_bytes(b"")
+    except (EOFError, ConnectionError):
+        pass
+
+
+def simulate_paths(
+    cfg: SimConfig, p: ModelParams, observers=(), block: int = 1024, stages=None
+):
     """Advance all paths, streaming post-burn-in state blocks to observers.
 
     Each observer is called as observer.update(t0, xs, ys, zs) with arrays
@@ -187,30 +227,36 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     first row. The arrays are views of buffers that the next block
     overwrites: an observer must copy whatever it keeps. Raises
     NonFiniteState if any component leaves the finite range. Returns the
-    final (x, y, z) arrays.
+    final (x, y, z) arrays. A dict given as `stages` gains `observe_s`, the
+    seconds spent in the observers, and `noise_wait_s`, the seconds spent
+    waiting for the noise of a block.
 
     Path i is bit-identical to iterating step_euler with the increments
     sqrt(dt) * standard_normal of its own (seed, i) stream, whatever the
-    block size and the number of paths. Per block, the noise is drawn
-    path-major into one reused buffer, turned in place into
-    (N*sqrt(dt))*sigma + e and transposed once into the y rows. Each step
-    is then eleven `out=` ufunc calls on one-dimensional rows, in
-    step_euler's association and on its coefficients (`_step_coefficients`).
-    Raises DegenerateInput for a block below 1.
+    block size and the number of paths. The noise comes from one forked
+    producer process (`_produce`). It makes the per-path generators, draws
+    block k path-major, turns it into (N*sqrt(dt))*sigma + e and writes it
+    transposed into slot k % 2 of a two-slot ring in shared memory, while
+    this process steps block k - 1. The ring slots are the y rows: each
+    step is eleven `out=` ufunc calls on one-dimensional rows, in
+    step_euler's association and on its coefficients
+    (`_step_coefficients`), the velocity overwriting the noise in place.
+    After the observers have run, the slot goes back to the producer. One
+    `Pipe` carries the hand-overs both ways. The producer is killed and
+    joined on every exit; if it dies first, the run raises BepoError
+    instead of waiting. Raises DegenerateInput for a block below 1.
     """
     if block < 1:
         raise DegenerateInput(f"block must be >= 1, got {block}")
-    rngs = _path_generators(cfg.seed, cfg.n_paths)
     npth = cfg.n_paths
     dt = cfg.dt
-    sqdt = np.sqrt(dt)
     burn = cfg.effective_burn_in
     rows = min(block, cfg.n_steps)
-    noise = np.empty((npth, rows))
+    ring = np.frombuffer(mmap.mmap(-1, 2 * rows * npth * 8)).reshape(2, rows, npth)
     xs = np.empty((rows, npth))
-    ys = np.empty((rows, npth))
     zs = np.empty((rows, npth))
-    row_views = list(zip(xs, ys, zs))
+    x_rows, z_rows = list(xs), list(zs)
+    y_rows = [list(ys) for ys in ring]
     x = np.full(npth, float(cfg.init.x))
     y = np.full(npth, float(cfg.init.y))
     z = np.full(npth, float(cfg.init.z))
@@ -228,42 +274,70 @@ def simulate_paths(cfg: SimConfig, p: ModelParams, observers=(), block: int = 10
     # positional `out` on local names: the loop below is call overhead
     mul, add = np.multiply, np.add
 
-    done = 0
-    while done < cfg.n_steps:
-        nb = min(rows, cfg.n_steps - done)
-        for ip, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[ip, :nb])
-        dW = noise[:, :nb]
-        dW *= sqdt
-        dW *= p.sigma
-        dW += e
-        # row t of ys holds sigma*dW + e of step t until the step overwrites it
-        ys[:nb] = dW.T
-        xp, yp, zp = x, y, z
-        with np.errstate(invalid="ignore", over="ignore"):
-            # non-finite states are detected below; let them propagate quietly
-            for xr, yr, zr in row_views[:nb]:
-                mul(a_y, yp, acc)
-                mul(c_x, xp, tmp)
-                add(acc, tmp, acc)
-                mul(d_z, zp, tmp)
-                add(acc, tmp, acc)
-                add(acc, yr, yr)  # ((a*y + c*x) + d*z) + (sigma*dW + e)
-                mul(yp, dt_c, tmp)  # y*dt
-                add(xp, tmp, xr)
-                add(zp, tmp, zr)
-                np.maximum(zr, lo, out=zr)
-                np.minimum(zr, hi, out=zr)
-                xp, yp, zp = xr, yr, zr
-        x[:], y[:], z[:] = xp, yp, zp
-        done += nb
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise NonFiniteState(f"non-finite state within the first {done} steps")
-        lo_row = max(0, burn - (done - nb))
-        if lo_row < nb:
-            t0 = (done - nb + lo_row + 1) * dt
-            for obs in observers:
-                obs.update(t0, xs[lo_row:nb], ys[lo_row:nb], zs[lo_row:nb])
+    # imported here, not with the package: runs without Monte Carlo would
+    # pay about 0.25 MB of peak RSS for it
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    producer = ctx.Process(
+        target=_produce,
+        args=(here, there, cfg.seed, ring, cfg.n_steps, np.sqrt(dt), p.sigma, e),
+        daemon=True,
+    )
+    producer.start()
+    observe_s = wait_s = 0.0
+    try:
+        there.close()  # the child's end: with it closed, a dead child reads as EOF
+        for k, first in enumerate(range(0, cfg.n_steps, rows)):
+            nb = min(rows, cfg.n_steps - first)
+            start = time.perf_counter()
+            try:
+                here.recv_bytes()  # slot k % 2 holds block k's noise
+            except (EOFError, ConnectionError):  # a killed child can reset the socket
+                raise BepoError(
+                    f"the noise producer exited after {first} of {cfg.n_steps} steps"
+                ) from None
+            wait_s += time.perf_counter() - start
+            xp, yp, zp = x, y, z
+            with np.errstate(invalid="ignore", over="ignore"):
+                # non-finite states are detected below; let them propagate quietly
+                for xr, yr, zr in zip(x_rows[:nb], y_rows[k % 2][:nb], z_rows[:nb]):
+                    mul(a_y, yp, acc)
+                    mul(c_x, xp, tmp)
+                    add(acc, tmp, acc)
+                    mul(d_z, zp, tmp)
+                    add(acc, tmp, acc)
+                    add(acc, yr, yr)  # ((a*y + c*x) + d*z) + (sigma*dW + e)
+                    mul(yp, dt_c, tmp)  # y*dt
+                    add(xp, tmp, xr)
+                    add(zp, tmp, zr)
+                    np.maximum(zr, lo, out=zr)
+                    np.minimum(zr, hi, out=zr)
+                    xp, yp, zp = xr, yr, zr
+            x[:], y[:], z[:] = xp, yp, zp
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise NonFiniteState(f"non-finite state within the first {first + nb} steps")
+            lo_row = max(0, burn - first)
+            if lo_row < nb:
+                t0 = (first + lo_row + 1) * dt
+                ys = ring[k % 2]
+                start = time.perf_counter()
+                for obs in observers:
+                    obs.update(t0, xs[lo_row:nb], ys[lo_row:nb], zs[lo_row:nb])
+                observe_s += time.perf_counter() - start
+            if first + 2 * rows < cfg.n_steps:
+                # hand the slot back for block k + 2; a dead producer shows
+                # at the next receive
+                with contextlib.suppress(ConnectionError):
+                    here.send_bytes(b"")
+    finally:
+        here.close()
+        producer.kill()
+        producer.join()
+        producer.close()
+    if stages is not None:
+        stages.update(observe_s=observe_s, noise_wait_s=wait_s)
     return x, y, z
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -437,7 +438,7 @@ def test_manifests_record_stage_timings(tmp_path):
     factors = {"solve": 1, "sweep": 1, "band-sweep": 1, "convergence": 4, "cross": 1}
     pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz"}
     # the sweeps and cross-validate run Monte Carlo here
-    mc_keys = {"simulate_s", "path_steps_per_s"}
+    mc_keys = {"simulate_s", "path_steps_per_s", "observe_s", "noise_wait_s"}
     for name, run in runs.items():
         run(cfg, tmp_path / name)
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
@@ -449,6 +450,10 @@ def test_manifests_record_stage_timings(tmp_path):
         if with_mc:
             path_steps = cfg.sim.n_paths * cfg.sim.n_steps
             assert stages["path_steps_per_s"] == path_steps / stages["simulate_s"]
+            # the observers and the waits for noise are parts of the run
+            parts = [stages["observe_s"], stages["noise_wait_s"]]
+            assert all(math.isfinite(v) for v in parts)
+            assert sum(parts) <= stages["simulate_s"]
     # Monte Carlo off: no Monte Carlo stages
     run_crossing_sweep(quick_config("observable.eps0 = 1.0\nmc.enabled = false\n"
                                     "sweep.values = 0.5\n"), tmp_path / "no-mc")

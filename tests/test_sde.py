@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from bepo import sde
-from bepo.errors import DegenerateInput, NegativeBand, NonFiniteState
+from bepo.errors import BepoError, DegenerateInput, NegativeBand, NonFiniteState
 from bepo.model import ForceSpec, ModelParams, drift_beta, lyapunov_constants, lyapunov_value
 from bepo.sde import (
     BandObserver,
@@ -439,6 +442,23 @@ def test_cross_path_se_shrinks_with_more_paths():
     assert se_of(64) < se_of(8)
 
 
+def test_linear_limit_crossing_rate_matches_the_closed_form():
+    """At alpha = 1 with c1 = const = 0, (X, Y) is the stationary linear
+    oscillator, and the rate of crossings of a in both directions is
+    nu(a) = (sqrt(k)/pi) exp(-a^2 c0 k / sigma^2). 256 paths at dt = 2e-3
+    must land within 3 standard errors of it. The seed was fixed before
+    the first run."""
+    p = ModelParams(alpha=1.0)
+    cfg = SimConfig(dt=2e-3, n_steps=50_000, burn_in=5_000, seed=2026, n_paths=256)
+    levels = [0.0, 1.0]
+    obs = CrossingObserver(levels, cfg.dt, cfg.n_paths)
+    simulate_paths(cfg, p, [obs])
+    for i, a in enumerate(levels):
+        exact = math.sqrt(p.k) / math.pi * math.exp(-(a**2) * p.force.c0 * p.k / p.sigma**2)
+        value, se = obs.frequency(i)
+        assert abs(value - exact) <= 3 * se
+
+
 # --- energy bound ------------------------------------------------------------------
 
 
@@ -473,6 +493,51 @@ def test_simulate_paths_rejects_an_empty_block_before_any_allocation(monkeypatch
     cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=2, seed=0)
     with pytest.raises(DegenerateInput, match="block"):
         simulate_paths(cfg, MODEL, block=0)
+
+
+# --- the noise producer ----------------------------------------------------------
+
+
+class _Raises:
+    def update(self, t0, xs, ys, zs):
+        raise RuntimeError("observer failed")
+
+
+@pytest.mark.parametrize(
+    "dt, observers, error",
+    [(1e-3, [], None), (1e3, [], NonFiniteState), (1e-3, [_Raises()], RuntimeError)],
+    ids=["normal-return", "nonfinite-state", "observer-raises"],
+)
+def test_no_producer_outlives_the_run(dt, observers, error):
+    # 100 blocks: the run ends or fails with the producer still drawing
+    cfg = SimConfig(dt=dt, n_steps=10_000, burn_in=0, n_paths=3, seed=1)
+    if error is None:
+        simulate_paths(cfg, MODEL, observers, block=100)
+    else:
+        with pytest.raises(error):
+            simulate_paths(cfg, MODEL, observers, block=100)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_producer_is_an_error_not_a_hang():
+    class KillsTheProducer:
+        def update(self, t0, xs, ys, zs):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+    def hung(signum, frame):
+        pytest.fail("simulate_paths still waits for a killed producer")
+
+    cfg = SimConfig(dt=1e-3, n_steps=10_000, burn_in=0, n_paths=3, seed=1)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(BepoError, match="producer exited"):
+            simulate_paths(cfg, MODEL, [KillsTheProducer()], block=100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -518,6 +583,13 @@ def test_simconfig_validation():
         SimConfig(n_steps=100, burn_in=100)
     with pytest.raises(ValueError):
         SimConfig(n_paths=0)
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_simconfig_rejects_no_steps_before_the_burn_in(n_steps):
+    # the burn-in check would blame burn_in for a horizon of no step
+    with pytest.raises(ValueError, match=f"n_steps must be >= 1, got {n_steps}"):
+        SimConfig(n_steps=n_steps)
 
 
 @pytest.mark.parametrize(
