@@ -12,10 +12,10 @@ propagates inward only). Rows with j in {0, J-1} are two-point Neumann rows
 enforcing zero yt-derivative, with zero right-hand side.
 
 `assemble_matrix` emits the closed-form entries case by case, each into the
-full-length band of its stencil diagonal, and converts the bands to CSR in
-one step; the independent oracle `oracle_assemble` rebuilds the same matrix
-by applying generic difference-operator definitions to unit basis vectors
-and never consults the closed forms.
+band at its stencil step's offset `GridSpec.index(di, dj, dk)`, and converts
+the bands to CSR in one step; the independent oracle `oracle_assemble`
+rebuilds the same matrix by applying generic difference-operator
+definitions to unit basis vectors and never consults the closed forms.
 """
 
 from __future__ import annotations
@@ -42,20 +42,19 @@ __all__ = [
 class SparseSystem:
     """The system in canonical CSR form, 1 row per grid node.
 
-    shape is the grid's (I, J, K), which fixes the node numbering. matrix
-    has sorted column indices, duplicates summed and exact zeros dropped;
-    rows/cols/vals are its 0-based triplets in (row, col) order, derived on
-    demand. rhs is dense, 0 at Neumann rows.
+    spec is the grid's, whose `index` numbers the rows. matrix has sorted
+    column indices, duplicates summed and exact zeros dropped; rows/cols/vals
+    are its 0-based triplets in (row, col) order, derived on demand. rhs is
+    dense, 0 at Neumann rows.
     """
 
-    shape: tuple[int, int, int]
+    spec: GridSpec
     matrix: sp.csr_matrix
     rhs: np.ndarray
 
     @property
     def n(self) -> int:
-        I, J, K = self.shape
-        return I * J * K
+        return self.spec.n_nodes
 
     @property
     def rows(self) -> np.ndarray:
@@ -98,10 +97,10 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     """Closed-form row assembly of M, one stencil diagonal at a time.
 
     The indicator factors (1 + 1{2 < i < I-1}) are evaluated per node as
-    printed, not by splitting loops into bands. Every entry (di, dj, dk) of
-    the stencil is added into the full-length band of its linear offset
-    (di*J + dj)*K + dk, and one DIA-to-CSR conversion builds the matrix.
-    Returns a SparseSystem with a zero rhs; assemble_rhs builds the
+    printed, not by splitting loops into bands. Every entry (di, dj, dk) of the
+    stencil is added into the full-length band of its offset
+    `GridSpec.index(di, dj, dk)`, and one DIA-to-CSR conversion builds the
+    matrix. Returns a SparseSystem with a zero rhs; assemble_rhs builds the
     right-hand side.
     """
     s = _checked_spec(grid, lam, p)
@@ -121,14 +120,14 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
 
     diff = lam * p.sigma**2 / 2.0
 
-    # one row-indexed band per linear offset (di*J + dj)*K + dk of the stencil
+    # one row-indexed band per stencil offset
     bands: dict[int, np.ndarray] = {}
 
     def band(offset):
         return bands.setdefault(offset, np.zeros(iv.shape))
 
     def emit(mask, di, dj, dk, values):
-        b = band((di * J + dj) * K + dk)
+        b = band(s.index(di, dj, dk))
         np.add(b, values, out=b, where=mask & eq)
 
     diag = np.ones(iv.shape)
@@ -189,7 +188,7 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     # Neumann rows at j = 0 and j = J-1
     for j0, sign, nb in ((0, -1.0, +1), (J - 1, +1.0, -1)):
         band(0)[:, j0, :] = sign / dy
-        band(nb * K)[:, j0, :] = -sign / dy
+        band(s.index(0, nb, 0))[:, j0, :] = -sign / dy
 
     # scipy's DIA layout keeps the entry (r, r + offset) at column r + offset
     offsets = list(bands)
@@ -204,7 +203,7 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     # leaves data and indices as views of buffers sized for every band slot,
     # about 1.8 times larger; the copy lets those go
     matrix = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr().copy()
-    return SparseSystem(shape=s.shape, matrix=matrix, rhs=np.zeros(n))
+    return SparseSystem(spec=s, matrix=matrix, rhs=np.zeros(n))
 
 
 def _band_cell_means(x0, x1, z0, z1, a2: float) -> np.ndarray:
@@ -335,13 +334,13 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         for jc in range(J):
             for kc in range(K):
                 e[ic, jc, kc] = 1.0
-                col = (ic * J + jc) * K + kc
+                col = s.index(ic, jc, kc)
                 for ir in range(max(0, ic - 2), min(I, ic + 3)):
                     for jr in range(max(0, jc - 2), min(J, jc + 3)):
                         for kr in range(max(0, kc - 2), min(K, kc + 3)):
                             val = row_value(e, ir, jr, kr)
                             if val != 0.0:
-                                rows_l.append((ir * J + jr) * K + kr)
+                                rows_l.append(s.index(ir, jr, kr))
                                 cols_l.append(col)
                                 vals_l.append(val)
                 e[ic, jc, kc] = 0.0
@@ -352,4 +351,4 @@ def oracle_assemble(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         np.asarray(cols_l, dtype=np.int64),
         np.asarray(vals_l, dtype=np.float64),
     )
-    return SparseSystem(shape=s.shape, matrix=matrix, rhs=np.zeros(n))
+    return SparseSystem(spec=s, matrix=matrix, rhs=np.zeros(n))

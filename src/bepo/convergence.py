@@ -43,6 +43,6 @@ def refinement_ladder(spec: GridSpec, axis: str, n_refinements: int) -> Refineme
 
 def empirical_order(d1: float, d2: float) -> float:
     """log2(d1/d2): observed order from two consecutive-level differences."""
-    if not (math.isfinite(d1) and math.isfinite(d2)) or d2 <= 0:
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
         raise DegenerateDifference(f"cannot form log2({d1}/{d2})")
     return math.log2(d1 / d2)

@@ -7,10 +7,11 @@ spacings `GridSpec.dx`, `dy`, `dz` (d + axis name) are the scaled ones,
 O(lam); `h` gives the unscaled spacing of an axis.
 
 Node indices (i, j, k) are 0-based; node (i, j, k) is entry
-(i*J + j)*K + k of a field vector, k fastest, and `GridSpec.field` views a
-field as an (I, J, K) array. The 1-based indices of the outputs
-(`solution.csv` and the tuples of `magnitude_violations`) add 1 where they
-are written.
+`GridSpec.index(i, j, k)` = (i*J + j)*K + k of a field vector, k fastest,
+`GridSpec.field` views a field as an (I, J, K) array, and
+`GridSpec.yline_order` is the solver's order, line by line along y. The
+1-based indices of the outputs (`solution.csv` and the tuples of
+`magnitude_violations`) add 1 where they are written.
 
 Nested refinement lives here too: `refine_nested` takes an axis's count to
 2*count - 1, which halves its spacing and keeps every coarse node
@@ -88,6 +89,16 @@ class GridSpec:
     def field(self, v) -> np.ndarray:
         """v as an (I, J, K) array indexed by node; a view of a flat array."""
         return np.asarray(v).reshape(self.shape)
+
+    def index(self, i, j, k):
+        """Entry of node (i, j, k) in a field vector, for ints or arrays;
+        linear, so index(di, dj, dk) is the offset of a stencil step."""
+        return (i * self.J + j) * self.K + k
+
+    def yline_order(self) -> np.ndarray:
+        """perm listing a field's entries by y-line, (i, k) then j; reversed,
+        it is the point reflection (i, j, k) -> (I-1-i, J-1-j, K-1-k)."""
+        return self.field(np.arange(self.n_nodes, dtype=np.int32)).transpose(0, 2, 1).ravel()
 
 
 def _axis(count: int, spacing: float) -> np.ndarray:

@@ -82,7 +82,7 @@ def plastic_band(a2: float) -> Observable:
     it at the nodes: assemble_rhs integrates it exactly over each node's
     dual cell, so a2 = 0 (a band of zero area) gives a zero right-hand side.
     """
-    if a2 < 0:
+    if not a2 >= 0:
         raise NegativeBand(f"a2 must be >= 0, got {a2}")
 
     def fn(x, y, z):

@@ -451,6 +451,8 @@ def crossing_frequency_mc(x_samples, dt: float, a1: float) -> float:
     so touching the level is never double-counted. Up- and down-crossings
     are counted jointly. T = (N-1)*dt.
     """
+    if math.isnan(a1):
+        raise DegenerateInput("the crossing level is NaN")
     x_samples = np.asarray(x_samples, dtype=np.float64)
     if x_samples.ndim != 1 or len(x_samples) < 2:
         raise DegenerateInput("need at least 2 samples on one path")
@@ -461,7 +463,7 @@ def crossing_frequency_mc(x_samples, dt: float, a1: float) -> float:
 
 def serviceability_mc(x_samples, z_samples, a2: float) -> float:
     """Fraction of samples with |x - z| <= a2 (closed band)."""
-    if a2 < 0:
+    if not a2 >= 0:
         raise NegativeBand(f"a2 must be >= 0, got {a2}")
     x_samples = np.asarray(x_samples, dtype=np.float64)
     z_samples = np.asarray(z_samples, dtype=np.float64)
@@ -500,6 +502,8 @@ class CrossingObserver:
 
     def __init__(self, levels, dt: float, n_paths: int):
         self.levels = list(levels)
+        if any(math.isnan(a1) for a1 in self.levels):
+            raise DegenerateInput(f"a crossing level is NaN: {self.levels}")
         self.dt = dt
         self.counts = np.zeros((len(self.levels), n_paths), dtype=np.int64)
         self._carry = np.zeros((len(self.levels), n_paths), dtype=np.int8)
@@ -553,7 +557,7 @@ class BandObserver:
 
     def __init__(self, radii, n_paths: int):
         for a2 in radii:
-            if a2 < 0:
+            if not a2 >= 0:
                 raise NegativeBand(f"a2 must be >= 0, got {a2}")
         self.radii = list(radii)
         self.counts = np.zeros((len(self.radii), n_paths), dtype=np.int64)

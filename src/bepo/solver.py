@@ -1,29 +1,24 @@
 """Krylov solve of the resolvent system and extraction of the statistic.
 
 Restarted GMRES, preconditioned on the left by a symmetric block
-Gauss-Seidel sweep over y-lines. With the nodes renumbered so that each
-(i, k) line of J nodes along y is contiguous, the matrix splits into line
-blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1 with
-block-triangular halves factored by a threshold incomplete LU. Every factor
-is read through SuperLU's transposed solve, which gathers along the rows of
-the factor and is faster than its column-scattering natural solve; so a
-forward solver factors the transposed halves, whose CSC arrays are the CSR
-arrays of the halves, and an adjoint solver the halves themselves. The
-lower half enters as S R (D+L) R, with R the index reversal and S = -1 on
-the Neumann rows. R is the point reflection (x, y, z) -> (-x, -y, -z),
-under which the oscillator is odd unless its force has a constant term,
-and then S R (D+L) R = D+U bit for bit; the one incomplete LU then serves
-both sweeps. R and S are folded into the y-line matrix that GMRES iterates
-on and into the stored D, so one preconditioner application is two
-triangular solves and one sparse product, and each solve permutes its
-right-hand side in and its solution out once. The line blocks hold the
-stiff y diffusion and the beta drift; the x and z advection speeds depend
-on y only, so each half's upwind x/z transport runs one way between lines,
-and the forward and backward sweeps absorb the y < 0 and y > 0 rows. The
-GMRES routine (`_gmres`) iterates on the preconditioned residual but ends
-each restart cycle on the true residual, and the solver recomputes that
-residual once more before it accepts a solution, so every returned field
-meets rel_tol on the original system.
+Gauss-Seidel sweep over y-lines. In the order of `GridSpec.yline_order`,
+where each line of J nodes along y is contiguous, the matrix splits into
+line blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1
+with block-triangular halves factored by a threshold incomplete LU, each
+read through SuperLU's transposed solve (`_sgs`). The lower half enters as
+S R (D+L) R, with R the index reversal and S = -1 on the Neumann rows. R is
+the point reflection (x, y, z) -> (-x, -y, -z), under which the oscillator
+is odd unless its force has a constant term, and then S R (D+L) R = D+U bit
+for bit; the one incomplete LU then serves both sweeps. R and S are folded
+into the y-line matrix that GMRES iterates on (`ResolventSolver`), so a
+preconditioner application makes no gather. The line blocks hold the stiff
+y diffusion and the beta drift; the x and z advection speeds depend on y
+only, so each half's upwind x/z transport runs one way between lines, and
+the forward and backward sweeps absorb the y < 0 and y > 0 rows. The GMRES
+routine (`_gmres`) iterates on the preconditioned residual but ends each
+restart cycle on the true residual, and the solver recomputes that residual
+once more before it accepts a solution, so every returned field meets
+rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
 the center node. An adjoint solver (`ResolventSolver(..., adjoint=True)`)
@@ -46,7 +41,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .assembly import SparseSystem
-from .errors import NoConvergence, NonFiniteState, PreconditionerBreakdown
+from .errors import DegenerateInput, NoConvergence, NonFiniteState, PreconditionerBreakdown
 from .grid import Grid
 
 __all__ = [
@@ -109,25 +104,6 @@ class SolveReport:
     iterations: int
 
 
-def _yline_order(A: sp.csr_matrix, shape: tuple[int, int, int], adjoint: bool):
-    """perm and P A P^T in y-line order (i, k, j; j fastest), with sorted
-    indices: as CSR for a forward solver, as CSC for an adjoint one.
-
-    (P v)[p] = v[perm[p]]. Row and column p of P A P^T belong to line p // J.
-    Gathering the rows of A in perm order and renaming the columns gives the
-    CSR of P A P^T with each row's columns unsorted.
-    """
-    perm = np.arange(A.shape[0], dtype=np.int32).reshape(shape).transpose(0, 2, 1).ravel()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=np.int32)
-    rows = A[perm]
-    Ap = sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=A.shape)
-    if adjoint:
-        return perm, Ap.tocsc()
-    Ap.sort_indices()
-    return perm, Ap
-
-
 def _cut(M, keep=None, major=False, minor=False, negate=None):
     """The compressed arrays (data, indices, indptr) of M's entries where keep
     is true (all of them for None), M in CSR or CSC; with `negate`, the
@@ -162,9 +138,8 @@ def _cut(M, keep=None, major=False, minor=False, negate=None):
 def _mirrors(lower: sp.csc_matrix, upper: sp.csc_matrix) -> bool:
     """Whether the signed, reflected lower half is the upper one bit for bit.
 
-    The point reflection (x, y, z) -> (-x, -y, -z) is the index reversal R
-    of the y-line order. The assembly keeps R M R = S M with S = -1 on the
-    Neumann rows whenever the oscillator is odd under it (force.const = 0),
+    The assembly keeps R M R = S M with S = -1 on the Neumann rows whenever
+    the oscillator is odd under the point reflection R (force.const = 0),
     and R maps the lines below a line onto those above it, so then
     S R (D+L) R = D+U. The check reads the matrix, not the model, so a half
     that does not fit is factored.
@@ -295,15 +270,14 @@ class ResolventSolver:
     """Factors the matrix once and solves any number of right-hand sides,
     of M v = b, or with `adjoint` of M^T w = b.
 
-    The factorization is the dominant cost, so it is built once here and
-    reused per solve. P A P^T is formed once in y-line order, and D, D+U
-    and D+L are cut from it by the line of each entry's row and column.
-    Every factor is read through SuperLU's transposed solve only: a forward
-    solver factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the
-    CSR arrays of the halves, and an adjoint one factors D+U and
-    S R (D+L) R from the CSC. When the lower half is the upper one bit for
-    bit (`_mirrors`), one incomplete LU serves both sweeps; `factors` lists
-    the computed ones.
+    The factorization is the dominant cost, so it is built once here and reused
+    per solve. P A P^T is formed once in `GridSpec.yline_order`, and D, D+U and
+    D+L are cut from it by the line of each entry's row and column. Every
+    factor is read through SuperLU's transposed solve only: a forward solver
+    factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the CSR arrays of
+    the halves, and an adjoint one factors D+U and S R (D+L) R from the CSC.
+    When the lower half is the upper one bit for bit (`_mirrors`), one
+    incomplete LU serves both sweeps; `factors` lists the computed ones.
 
     GMRES runs on the y-line matrix `Ay` with the reversal R and the signs
     S folded in: S R P M P^T forward and P M^T P^T R S adjoint, one the
@@ -321,8 +295,17 @@ class ResolventSolver:
         self.cfg = cfg if cfg is not None else SolverConfig()
         self.adjoint = adjoint
         self.n = n = sys.n
-        J = sys.shape[1]
-        perm, Ap = _yline_order(sys.to_csr(), sys.shape, adjoint)
+        J = sys.spec.J
+        # P A P^T, (P v)[p] = v[perm[p]], from the rows of A in perm order with
+        # renamed columns: CSC adjoint, CSR forward; row p is on line p // J
+        perm = sys.spec.yline_order()
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(n, dtype=np.int32)
+        rows = sys.to_csr()[perm]
+        yline = sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=rows.shape)
+        Ap = yline.tocsc() if adjoint else yline
+        Ap.sort_indices()  # a CSC comes sorted
+        del inv, rows, yline
         # the row and column of each stored entry, in stored order
         coo = Ap.tocoo(copy=False)
         side = coo.col // J - coo.row // J
@@ -465,13 +448,15 @@ def rice_rate(w: np.ndarray, grid: Grid, a: float) -> float:
     """Crossing rate of the level x = a by Rice's formula on the weights.
 
     nu(a) = sum_{j, k} w[i, j, k] |y_j| / hx over the equation rows, with hx
-    the unscaled x spacing, interpolated linearly in x between the two
-    nodes around a. No mollifier enters. A level outside the box gives 0.
-    Warns when either node lies in the two outer x sheets on a side, where
-    the inward one-sided face stencils give w negative mass and the rate
-    can come out negative.
+    the unscaled x spacing, interpolated linearly in x between the two nodes
+    around a. No mollifier enters. A level outside the box gives 0, and a NaN
+    level raises DegenerateInput. Warns when either node lies in the two outer
+    x sheets on a side, where the inward one-sided face stencils give w
+    negative mass and the rate can come out negative.
     """
     s = grid.spec
+    if math.isnan(a):
+        raise DegenerateInput("the crossing level is NaN")
     if not abs(a) <= s.x_bar:
         return 0.0
     hx = s.h("x")

@@ -117,6 +117,19 @@ def test_pattern_envelope_and_diagonals():
     assert (diag[eq] >= 1.0).all()
 
 
+def test_every_entry_is_one_stencil_step_at_its_grid_offset():
+    spec = GridSpec(lam=0.1, I=5, J=7, K=3)
+    grid = build_grid(spec)
+    sys = assemble_matrix(grid, MODEL, spec.lam)
+    i, j, k = (a.ravel() for a in grid.node_indices())
+    r, c = sys.rows, sys.cols
+    step = np.stack([i[c] - i[r], j[c] - j[r], k[c] - k[r]])
+    # along one axis at a time, at most two nodes: the 13 steps of the stencil
+    assert ((step != 0).sum(axis=0) <= 1).all() and (np.abs(step) <= 2).all()
+    assert len(set(map(tuple, step.T))) == 13
+    assert (c - r == spec.index(*step)).all()
+
+
 def test_triplets_are_the_stored_csr_in_row_major_order():
     sys = assemble_matrix(small_grid(7, 1e-2), MODEL, 1e-2)
     assert sys.to_csr() is sys.matrix

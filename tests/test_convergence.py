@@ -134,3 +134,5 @@ def test_empirical_order_degenerate():
         empirical_order(1.0, 0.0)
     with pytest.raises(DegenerateDifference):
         empirical_order(float("nan"), 1.0)
+    with pytest.raises(DegenerateDifference):
+        empirical_order(0.0, 1.0)

@@ -49,3 +49,22 @@ def test_unscaled_coordinates():
     assert g.x[0] == pytest.approx(-2.0)
     assert g.x[-1] == pytest.approx(2.0)
     assert g.x[0] * spec.lam == pytest.approx(-2.0e-2)
+
+
+def test_index_and_yline_order_number_a_non_cubic_spec():
+    spec = GridSpec(lam=0.1, I=5, J=7, K=3)
+    nodes = spec.field(np.arange(spec.n_nodes))
+    assert all(spec.index(i, j, k) == nodes[i, j, k] for i, j, k in np.ndindex(spec.shape))
+    i, j, k = (a.ravel() for a in build_grid(spec).node_indices())
+    assert (spec.index(i, j, k) == nodes.ravel()).all()
+    perm = spec.yline_order()
+    assert (np.sort(perm) == np.arange(spec.n_nodes)).all()
+    # each (i, k) line is contiguous, with j counting up along it, and the
+    # lines come in (i, k) order
+    lines = [a[perm].reshape(-1, spec.J) for a in (i, j, k)]
+    assert (lines[0] == np.repeat(np.arange(spec.I), spec.K)[:, None]).all()
+    assert (lines[2] == np.tile(np.arange(spec.K), spec.I)[:, None]).all()
+    assert (lines[1] == np.arange(spec.J)).all()
+    # the reversed order is the point reflection
+    I, J, K = spec.shape
+    assert (perm[::-1] == spec.index(I - 1 - i[perm], J - 1 - j[perm], K - 1 - k[perm])).all()

@@ -8,7 +8,9 @@ import pytest
 
 from bepo import sde
 from bepo.errors import BepoError, DegenerateInput, NegativeBand, NonFiniteState
+from bepo.grid import GridSpec, build_grid
 from bepo.model import ForceSpec, ModelParams, drift_beta, lyapunov_constants, lyapunov_value
+from bepo.observables import plastic_band
 from bepo.sde import (
     BandObserver,
     CrossingObserver,
@@ -24,6 +26,7 @@ from bepo.sde import (
     simulate_trajectory,
     step_euler,
 )
+from bepo.solver import rice_rate
 
 MODEL = ModelParams()
 
@@ -624,3 +627,35 @@ def test_simconfig_rejects_nonfinite_and_negative_inputs(kwargs):
 def test_model_rejects_nonfinite_inputs(make):
     with pytest.raises(ValueError):
         make()
+
+
+GRID9 = build_grid(GridSpec(lam=1e-2, I=9, J=9, K=9))
+W9 = np.zeros(GRID9.spec.n_nodes)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: CrossingObserver([0.0, math.nan], 1e-3, 4), DegenerateInput),
+        (lambda: BandObserver([0.5, math.nan], 4), NegativeBand),
+        (lambda: rice_rate(W9, GRID9, math.nan), DegenerateInput),
+        (lambda: serviceability_mc([0.0, 1.0], [0.0, 0.5], math.nan), NegativeBand),
+        (lambda: crossing_frequency_mc([0.0, 1.0, -1.0], 1e-3, math.nan), DegenerateInput),
+        (lambda: plastic_band(math.nan), NegativeBand),
+    ],
+    ids=["crossing-observer", "band-observer", "rice", "serviceability", "crossing", "band"],
+)
+def test_a_nan_level_or_radius_is_rejected(call, error):
+    # a NaN compares false both ways, so unchecked it reads as an empty band,
+    # a level never crossed or one crossed at every step
+    with pytest.raises(error, match="NaN|nan"):
+        call()
+
+
+def test_an_infinite_level_or_radius_keeps_its_meaning():
+    x, z = [0.0, 1.0, -1.0], [0.0, 0.5, -0.5]
+    assert serviceability_mc(x, z, math.inf) == 1.0
+    assert crossing_frequency_mc(x, 1e-3, math.inf) == 0.0
+    assert crossing_frequency_mc(x, 1e-3, -math.inf) == 0.0
+    assert rice_rate(W9, GRID9, math.inf) == 0.0
+    assert plastic_band(math.inf)(np.array(x), 0.0, np.array(z)).tolist() == [1.0] * 3

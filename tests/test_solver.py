@@ -372,6 +372,23 @@ def test_linear_limit_second_moments_match_the_closed_form():
     assert abs(y2 - sigma2 / (2 * c0)) <= 3e-4
 
 
+def test_perfectly_plastic_yz_marginal_does_not_depend_on_the_x_count():
+    # at alpha = 0 with c1 = 0 the drift does not depend on x, and the x
+    # transport conserves mass along each x line, so the (y, z) marginal of w
+    # solves the same 2-D adjoint problem for every I
+    def spread(alpha):
+        marginals = []
+        for I in (3, 5, 9, 17):
+            grid = build_grid(GridSpec(lam=1e-3, I=I, J=17, K=17))
+            matrix = assemble_matrix(grid, ModelParams(alpha=alpha), 1e-3)
+            w = invariant_weights(ResolventSolver(matrix, adjoint=True), grid).v
+            marginals.append(grid.spec.field(w).sum(axis=0))
+        return max(np.abs(m - marginals[0]).max() for m in marginals[1:])
+
+    assert spread(0.0) <= 1e-12
+    assert spread(0.5) > 1e-3
+
+
 def test_rice_rate_warns_in_the_outer_x_sheets():
     """Near the x faces w carries negative mass, and Rice's rate reads
     -1.2e-3 at a = 3.0 on 17^3; levels whose nodes avoid the two outer
