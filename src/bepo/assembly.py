@@ -11,11 +11,14 @@ the xt and zt faces themselves (no outward flux: the advected information
 propagates inward only). Rows with j in {0, J-1} are two-point Neumann rows
 enforcing zero yt-derivative, with zero right-hand side.
 
-`assemble_matrix` emits the closed-form entries case by case, each into the
-band at its stencil step's offset `GridSpec.index(di, dj, dk)`, and converts
-the bands to CSR in one step; the independent oracle `oracle_assemble`
-rebuilds the same matrix by applying generic difference-operator
-definitions to unit basis vectors and never consults the closed forms.
+`assemble_matrix` emits the closed-form entries of the three axes from one
+upwind routine, plus the yt-diffusion, each into the band at its stencil
+step's offset `GridSpec.index(di, dj, dk)`, and converts the bands to CSR in
+one step. Its coefficients live on broadcast axes, not node-sized meshes: a
+speed or mask has the shape of the axes it depends on. The independent
+oracle `oracle_assemble` rebuilds the same matrix by applying generic
+difference-operator definitions to unit basis vectors and never consults
+the closed forms.
 """
 
 from __future__ import annotations
@@ -96,47 +99,42 @@ def _checked_spec(grid: Grid, lam: float, p: ModelParams | None = None) -> GridS
 def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
     """Closed-form row assembly of M, one stencil diagonal at a time.
 
-    The indicator factors (1 + 1{2 < i < I-1}) are evaluated per node as
-    printed, not by splitting loops into bands. Every entry (di, dj, dk) of the
-    stencil is added into the full-length band of its offset
-    `GridSpec.index(di, dj, dk)`, and one DIA-to-CSR conversion builds the
-    matrix. Returns a SparseSystem with a zero rhs; assemble_rhs builds the
-    right-hand side.
+    One upwind routine, `axis_terms`, emits each axis's advection entries
+    at multiples of the axis step `GridSpec.index(1, 0, 0)` etc. and
+    returns its diagonal term; y adds the diffusion. Indices and
+    coordinates are broadcast axes, (I,1,1), (1,J,1) and (1,1,K): only the
+    bands and the diagonal are node-sized. The indicator factors
+    (1 + 1{2 < i < I-1}) are evaluated per node as printed. One DIA-to-CSR
+    conversion of the bands builds the matrix. Returns a SparseSystem with
+    a zero rhs; assemble_rhs builds the right-hand side.
     """
     s = _checked_spec(grid, lam, p)
     I, J, K = s.shape
     dx, dy, dz = s.dx, s.dy, s.dz
     n = s.n_nodes
 
-    iv, jv, kv = grid.node_indices()
+    iv, jv, kv = np.ix_(*(np.arange(m) for m in s.shape))
+    x, y, z = np.ix_(grid.x, grid.y, grid.z)  # unscaled coordinates
     eq = (jv >= 1) & (jv <= J - 2)  # equation rows
-
-    # advection speeds at each node (unscaled): yt/lam for xt,zt; beta for yt
-    x_un = grid.x[iv]
-    y_un = grid.y[jv]
-    z_un = grid.z[kv]
-    cxz = y_un  # yt_j / lam
-    by = drift_beta(x_un, y_un, z_un, p)
-
     diff = lam * p.sigma**2 / 2.0
 
     # one row-indexed band per stencil offset
     bands: dict[int, np.ndarray] = {}
 
     def band(offset):
-        return bands.setdefault(offset, np.zeros(iv.shape))
+        return bands.setdefault(offset, np.zeros(s.shape))
 
-    def emit(mask, di, dj, dk, values):
-        b = band(s.index(di, dj, dk))
+    def emit(mask, offset, values):
+        b = band(offset)
         np.add(b, values, out=b, where=mask & eq)
 
-    diag = np.ones(iv.shape)
+    def axis_terms(pos, count, spacing, speed, step):
+        """Upwind advection c * d/dxi along one axis: emits its entries at
+        multiples of the axis step and returns its diagonal term.
 
-    def axis_terms(pos, count, spacing, speed, diag_acc):
-        """Upwind advection entries for one non-diffusive axis.
-
-        pos is the 0-based index array along the axis; emits (offset, value)
-        pairs and accumulates the diagonal contribution in-place.
+        pos is the 0-based index along the axis, on its broadcast axis. At
+        each node at most one of the three diagonal terms is nonzero, so
+        their sum is exact.
         """
         pos1 = pos + 1  # 1-based
         up = np.maximum(0.0, speed)
@@ -146,49 +144,38 @@ def assemble_matrix(grid: Grid, p: ModelParams, lam: float) -> SparseSystem:
         inner = ~at_lo & ~at_hi
         full = (pos1 > 2) & (pos1 < count - 1)
         fb = np.where(full, 1.0, 0.0)
-
-        terms = []
         # strict interior: second-order upwind with first-order fallback
-        terms.append((inner & full, -2, -dn / (2.0 * spacing)))
-        terms.append((inner & full, +2, up / (2.0 * spacing)))
-        terms.append((inner, -1, (1.0 + fb) * dn / spacing))
-        terms.append((inner, +1, -(1.0 + fb) * up / spacing))
-        diag_acc += np.where(inner, (2.0 + fb) * np.abs(speed) / (2.0 * spacing), 0.0)
+        emit(inner & full, -2 * step, -dn / (2.0 * spacing))
+        emit(inner & full, +2 * step, up / (2.0 * spacing))
+        emit(inner, -step, (1.0 + fb) * dn / spacing)
+        emit(inner, +step, -(1.0 + fb) * up / spacing)
         # faces: one-sided second-order stencil, inward only
-        terms.append((at_lo, +1, -2.0 * up / spacing))
-        terms.append((at_lo, +2, up / (2.0 * spacing)))
-        diag_acc += np.where(at_lo, 3.0 * up / (2.0 * spacing), 0.0)
-        terms.append((at_hi, -1, 2.0 * dn / spacing))
-        terms.append((at_hi, -2, -dn / (2.0 * spacing)))
-        diag_acc += np.where(at_hi, -3.0 * dn / (2.0 * spacing), 0.0)
-        return terms
+        emit(at_lo, +step, -2.0 * up / spacing)
+        emit(at_lo, +2 * step, up / (2.0 * spacing))
+        emit(at_hi, -step, 2.0 * dn / spacing)
+        emit(at_hi, -2 * step, -dn / (2.0 * spacing))
+        return (
+            np.where(inner, (2.0 + fb) * np.abs(speed) / (2.0 * spacing), 0.0)
+            + np.where(at_lo, 3.0 * up / (2.0 * spacing), 0.0)
+            + np.where(at_hi, -3.0 * dn / (2.0 * spacing), 0.0)
+        )
 
-    # xt-advection at speed yt/lam
-    for mask, off, val in axis_terms(iv, I, dx, cxz, diag):
-        emit(mask, off, 0, 0, val)
-    # zt-advection at the same speed
-    for mask, off, val in axis_terms(kv, K, dz, cxz, diag):
-        emit(mask, 0, 0, off, val)
-
-    # yt-direction: diffusion plus upwind advection at speed beta. Equation
-    # rows never touch j in {1, J}, so there is no face branch here.
-    upb = np.maximum(0.0, by)
-    dnb = np.minimum(0.0, by)
-    full_j = (jv + 1 > 2) & (jv + 1 < J - 1)
-    fbj = np.where(full_j, 1.0, 0.0)
-    emit(full_j, 0, -2, 0, -dnb / (2.0 * dy))
-    emit(full_j, 0, +2, 0, upb / (2.0 * dy))
-    emit(np.ones_like(full_j), 0, -1, 0, -diff / dy**2 + (1.0 + fbj) * dnb / dy)
-    emit(np.ones_like(full_j), 0, +1, 0, -diff / dy**2 - (1.0 + fbj) * upb / dy)
-    diag += 2.0 * diff / dy**2 + (2.0 + fbj) * np.abs(by) / (2.0 * dy)
-
-    # diagonal of every equation row (the emit helper applies the eq mask)
-    emit(np.ones_like(full_j), 0, 0, 0, diag)
+    # xt- and zt-advection at speed yt/lam, yt-advection at speed beta
+    # (equation rows never reach the y faces), then yt-diffusion
+    ystep = s.index(0, 1, 0)
+    diag = np.ones(s.shape)
+    diag += axis_terms(iv, I, dx, y, s.index(1, 0, 0))
+    diag += axis_terms(kv, K, dz, y, s.index(0, 0, 1))
+    y_upwind = axis_terms(jv, J, dy, drift_beta(x, y, z, p), ystep)
+    emit(eq, -ystep, -diff / dy**2)
+    emit(eq, +ystep, -diff / dy**2)
+    diag += 2.0 * diff / dy**2 + y_upwind
+    emit(eq, 0, diag)
 
     # Neumann rows at j = 0 and j = J-1
     for j0, sign, nb in ((0, -1.0, +1), (J - 1, +1.0, -1)):
         band(0)[:, j0, :] = sign / dy
-        band(s.index(0, nb, 0))[:, j0, :] = -sign / dy
+        band(nb * ystep)[:, j0, :] = -sign / dy
 
     # scipy's DIA layout keeps the entry (r, r + offset) at column r + offset
     offsets = list(bands)
@@ -234,7 +221,9 @@ def assemble_rhs(grid: Grid, g, lam: float) -> np.ndarray:
     """Dense right-hand side, 0 at Neumann rows.
 
     g is an Observable (or any vectorized callable of unscaled (x, y, z)),
-    sampled at the unscaled node coordinates. A band observable instead
+    called once on the broadcast coordinate axes, shapes (I,1,1), (1,J,1)
+    and (1,1,K); its value, a scalar too, broadcasts to the node field. A
+    band observable instead
     gives each row the exact mean of its indicator over the node's dual
     cell [x +- dx/2] x [z +- dz/2] (clipped to the box): point samples of
     the discontinuous indicator would put the band edge on a grid-dependent
@@ -243,16 +232,15 @@ def assemble_rhs(grid: Grid, g, lam: float) -> np.ndarray:
     gives a zero right-hand side.
     """
     s = _checked_spec(grid, lam)
+    vals = np.empty(s.shape)
     if isinstance(g, Observable) and g.kind == "band":
         x0, x1 = grid.dual_cells("x")
         z0, z1 = grid.dual_cells("z")
-        means = _band_cell_means(
+        vals[...] = _band_cell_means(
             x0[:, None], x1[:, None], z0[None, :], z1[None, :], g.params["a2"]
-        )
-        vals = np.repeat(means[:, None, :], s.J, axis=1)
+        )[:, None, :]
     else:
-        iv, jv, kv = grid.node_indices()
-        vals = np.asarray(g(grid.x[iv], grid.y[jv], grid.z[kv]), dtype=np.float64)
+        vals[...] = g(*np.ix_(grid.x, grid.y, grid.z))
     vals[:, [0, -1], :] = 0.0
     return vals.ravel()
 

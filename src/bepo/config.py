@@ -78,6 +78,11 @@ class RunConfig:
             )
         if self.record_stride < 0:
             raise ValueError(f"output.record_stride must be >= 0, got {self.record_stride}")
+        if abs(self.sim.init.z) > self.model.b:
+            raise ValueError(
+                f"sim.init_z = {self.sim.init.z} lies outside [-b, b], "
+                f"model.b = {self.model.b}"
+            )
         if self.experiment == "simulate" and self.sim.n_paths != 1:
             raise ValueError(f"simulate runs one path, got sim.n_paths = {self.sim.n_paths}")
         # a crossing rate divides by the time between the first and the last

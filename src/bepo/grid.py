@@ -124,10 +124,6 @@ class Grid:
         s = self.spec
         return ((s.I - 1) // 2, (s.J - 1) // 2, (s.K - 1) // 2)
 
-    def node_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The i, j and k of every node, as three arrays of the field shape."""
-        return np.meshgrid(*(np.arange(n) for n in self.spec.shape), indexing="ij")
-
     def dual_cells(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
         """Unscaled bounds of each node's dual cell along one axis, clipped
         to the box.

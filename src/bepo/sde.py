@@ -244,10 +244,13 @@ def simulate_paths(
     After the observers have run, the slot goes back to the producer. One
     `Pipe` carries the hand-overs both ways. The producer is killed and
     joined on every exit; if it dies first, the run raises BepoError
-    instead of waiting. Raises DegenerateInput for a block below 1.
+    instead of waiting. Raises DegenerateInput for a block below 1 and for
+    an initial z outside [-b, b], before the producer starts.
     """
     if block < 1:
         raise DegenerateInput(f"block must be >= 1, got {block}")
+    if abs(cfg.init.z) > p.b:
+        raise DegenerateInput(f"initial z = {cfg.init.z} lies outside [-b, b] for b = {p.b}")
     npth = cfg.n_paths
     dt = cfg.dt
     burn = cfg.effective_burn_in

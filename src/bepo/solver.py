@@ -498,17 +498,20 @@ def weight_diagnostics(w: np.ndarray, grid: Grid) -> dict:
     }
 
 
-def magnitude_violations(
-    v: np.ndarray, grid: Grid, sup_g: float, slack: float = 0.05
-) -> list[tuple[int, int, int, float]]:
-    """Nodes where |v| exceeds (1 + slack) * sup|g|.
+_MAGNITUDE_SLACK = 0.05
 
-    Soft form of the resolvent bound ||v||_inf <= ||g||_inf; the slack
+
+def magnitude_violations(
+    v: np.ndarray, grid: Grid, sup_g: float
+) -> list[tuple[int, int, int, float]]:
+    """Nodes where |v| exceeds (1 + 5%) * sup|g|.
+
+    Soft form of the resolvent bound ||v||_inf <= ||g||_inf; the 5% slack
     accommodates possible discrete-maximum-principle violations of the
     second-order stencil. Returns 1-based (i, j, k, value) tuples.
     """
     v3 = grid.spec.field(v)
-    mask = np.abs(v3) > (1.0 + slack) * sup_g
+    mask = np.abs(v3) > (1.0 + _MAGNITUDE_SLACK) * sup_g
     out = []
     for i, j, k in zip(*np.nonzero(mask)):
         out.append((int(i) + 1, int(j) + 1, int(k) + 1, float(v3[i, j, k])))

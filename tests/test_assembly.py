@@ -38,17 +38,31 @@ def ones_product_pattern(sys, I, J, K, as_tol_of_row_max=8):
     return np.abs(mv - expected) <= tol
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-@pytest.mark.parametrize("lam", [1.0, 0.1, 1e-3])
-def test_oracle_equivalence(n, lam):
-    grid = small_grid(n, lam)
-    a = assemble_matrix(grid, MODEL, lam)
-    b = oracle_assemble(grid, MODEL, lam)
+def assert_matches_oracle(grid, p, lam):
+    a = assemble_matrix(grid, p, lam)
+    b = oracle_assemble(grid, p, lam)
     ka = list(zip(a.rows.tolist(), a.cols.tolist()))
     kb = list(zip(b.rows.tolist(), b.cols.tolist()))
     assert ka == kb, "sparsity patterns differ"
     scale = np.maximum(np.abs(a.vals), np.abs(b.vals))
     assert (np.abs(a.vals - b.vals) <= 4 * np.spacing(scale)).all()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("lam", [1.0, 0.1, 1e-3])
+def test_oracle_equivalence(n, lam):
+    assert_matches_oracle(small_grid(n, lam), MODEL, lam)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 5, 7), (7, 3, 5), (5, 7, 3), (9, 5, 3)], ids=lambda s: "x".join(map(str, s))
+)
+@pytest.mark.parametrize("lam", [1.0, 0.1, 1e-3])
+def test_oracle_equivalence_non_cubic(shape, lam):
+    # one routine serves every axis: a count, spacing or step taken from the
+    # wrong axis agrees with the oracle on every cubic grid, but not here
+    I, J, K = shape
+    assert_matches_oracle(build_grid(GridSpec(lam=lam, I=I, J=J, K=K)), MODEL, lam)
 
 
 def test_constants_annihilation():
@@ -121,7 +135,7 @@ def test_every_entry_is_one_stencil_step_at_its_grid_offset():
     spec = GridSpec(lam=0.1, I=5, J=7, K=3)
     grid = build_grid(spec)
     sys = assemble_matrix(grid, MODEL, spec.lam)
-    i, j, k = (a.ravel() for a in grid.node_indices())
+    i, j, k = (a.ravel() for a in np.indices(spec.shape))
     r, c = sys.rows, sys.cols
     step = np.stack([i[c] - i[r], j[c] - j[r], k[c] - k[r]])
     # along one axis at a time, at most two nodes: the 13 steps of the stencil
@@ -185,6 +199,12 @@ def test_rhs_values_and_neumann_zeros():
     assert np.array_equal(rhs, rhs[perm])
 
 
+def test_rhs_of_a_scalar_valued_callable_broadcasts():
+    grid = build_grid(GridSpec(lam=0.1, I=5, J=7, K=3))
+    rhs = assemble_rhs(grid, lambda x, y, z: 1.0, 0.1)
+    assert rhs.tobytes() == assemble_rhs(grid, constant_observable(1.0), 0.1).tobytes()
+
+
 def test_lambda_mismatch_rejected():
     grid = small_grid(5, 0.1)
     with pytest.raises(InvalidSpec):
@@ -206,13 +226,7 @@ def test_oracle_equivalence_nonsymmetric_force():
     # a force with x-coupling and offset exercises every beta-dependent term
     p = ModelParams(k=1.2, alpha=0.6, b=0.8, sigma=0.7, force=ForceSpec(1.5, 0.3, 0.2))
     grid = build_grid(GridSpec(x_bar=2.0, y_bar=3.0, b=0.8, lam=0.05, I=5, J=7, K=3))
-    a = assemble_matrix(grid, p, 0.05)
-    b = oracle_assemble(grid, p, 0.05)
-    assert list(zip(a.rows.tolist(), a.cols.tolist())) == list(
-        zip(b.rows.tolist(), b.cols.tolist())
-    )
-    scale = np.maximum(np.abs(a.vals), np.abs(b.vals))
-    assert (np.abs(a.vals - b.vals) <= 4 * np.spacing(scale)).all()
+    assert_matches_oracle(grid, p, 0.05)
 
 
 BAND_WIDTHS = [0.0, 0.3, 0.375, 1.5, 2.5]

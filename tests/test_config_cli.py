@@ -190,6 +190,16 @@ def test_serviceability_sweep_rejects_negative_values(values):
     parse_config("experiment = crossing-sweep\nsweep.values = -0.5, 1\n")
 
 
+@pytest.mark.parametrize("z0", ["5.0", "-1.25"])
+def test_an_initial_z_outside_the_plastic_bound_is_rejected(z0):
+    with pytest.raises(ValidationError, match="sim.init_z"):
+        parse_config(f"experiment = simulate\nsim.init_z = {z0}\n")
+
+
+def test_an_initial_z_on_the_plastic_bound_is_accepted():
+    assert parse_config("model.b = 0.5\nsim.init_z = -0.5\n").sim.init.z == -0.5
+
+
 def test_cli_experiment_is_validated_before_the_run(tmp_path, capsys):
     """The positional experiment, not the document's key, is what the
     checks see: a negative band radius fails before any assembly."""

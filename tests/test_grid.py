@@ -55,7 +55,7 @@ def test_index_and_yline_order_number_a_non_cubic_spec():
     spec = GridSpec(lam=0.1, I=5, J=7, K=3)
     nodes = spec.field(np.arange(spec.n_nodes))
     assert all(spec.index(i, j, k) == nodes[i, j, k] for i, j, k in np.ndindex(spec.shape))
-    i, j, k = (a.ravel() for a in build_grid(spec).node_indices())
+    i, j, k = (a.ravel() for a in np.indices(spec.shape))
     assert (spec.index(i, j, k) == nodes.ravel()).all()
     perm = spec.yline_order()
     assert (np.sort(perm) == np.arange(spec.n_nodes)).all()

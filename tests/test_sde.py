@@ -491,6 +491,25 @@ def _never_set_up(monkeypatch):
     monkeypatch.setattr(sde, "_path_generators", never)
 
 
+@pytest.mark.parametrize("z0", [5.0, -1.0000001])
+def test_simulate_paths_rejects_an_initial_z_outside_the_box_before_forking(monkeypatch, z0):
+    # the first step's drift would use the impossible z
+    def no_fork(method):
+        raise AssertionError("the producer was set up before the input was checked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    cfg = SimConfig(dt=1e-3, n_steps=100, n_paths=2, init=OscState(0.0, 0.0, z0))
+    with pytest.raises(DegenerateInput, match="outside"):
+        simulate_paths(cfg, MODEL)
+
+
+@pytest.mark.parametrize("z0", [-1.0, 1.0])
+def test_an_initial_z_on_the_plastic_bound_runs(z0):
+    cfg = SimConfig(dt=1e-3, n_steps=100, n_paths=2, init=OscState(0.0, 0.0, z0))
+    x, y, z = simulate_paths(cfg, MODEL)
+    assert (np.abs(z) <= MODEL.b).all()
+
+
 def test_simulate_paths_rejects_an_empty_block_before_any_allocation(monkeypatch):
     _never_set_up(monkeypatch)
     cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=2, seed=0)
