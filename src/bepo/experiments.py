@@ -91,8 +91,9 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     the manifest's `stages` record: seconds of assembly (matrix and
     right-hand sides), of the y-line split and the incomplete LUs, and of
     the Krylov solve, plus the number of incomplete LUs computed (1 when
-    the two sweeps share one) and their stored nonzeros, a shared factor
-    counted once.
+    the two sweeps share one, 2 for a folded adjoint solver), their stored
+    nonzeros, a shared factor counted once, and the number of unknowns
+    GMRES ran on (n_f = (n+1)/2 when the solver folds, n otherwise).
     """
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
@@ -123,6 +124,7 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
         "solve_s": time.perf_counter() - ready,
         "factors": len(solver.factors),
         "factor_nnz": sum(factor.nnz for factor in solver.factors),
+        "unknowns": solver.Ay.shape[0],
     }
     return report, grid, rhs, stages
 

@@ -44,6 +44,7 @@ import dataclasses
 import math
 import mmap
 import signal
+import struct
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,26 +194,33 @@ def _produce(here, there, seed, ring, n_steps, sqdt, sigma, e):
     sigma*dW + e is drawn path-major into a private buffer, scaled in place
     and written transposed into ring slot k % 2 once the parent has handed
     that slot back. The child makes the per-path generators, so the parent
-    never holds them. Returns quietly when the parent is gone."""
+    never holds them. The last block's hand-over carries the CPU seconds
+    spent drawing, scaling and writing, a packed double; the others are
+    empty. Returns quietly when the parent is gone."""
     here.close()  # the parent's end: with it closed, a dead parent reads as EOF
     # Ctrl-C reaches the whole process group; the parent ends this process
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _, rows, npth = ring.shape
     rngs = _path_generators(seed, npth)
     noise = np.empty((npth, rows))
+    draw_s = 0.0
     try:
         for k, first in enumerate(range(0, n_steps, rows)):
             nb = min(rows, n_steps - first)
+            start = time.process_time()
             for ip, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[ip, :nb])
             dW = noise[:, :nb]
             dW *= sqdt
             dW *= sigma
             dW += e
+            draw_s += time.process_time() - start
             if k >= 2:
                 there.recv_bytes()  # the parent is done with block k - 2
+            start = time.process_time()
             ring[k % 2, :nb] = dW.T
-            there.send_bytes(b"")
+            draw_s += time.process_time() - start
+            there.send_bytes(struct.pack("d", draw_s) if first + nb == n_steps else b"")
     except (EOFError, ConnectionError):
         pass
 
@@ -228,8 +236,12 @@ def simulate_paths(
     overwrites: an observer must copy whatever it keeps. Raises
     NonFiniteState if any component leaves the finite range. Returns the
     final (x, y, z) arrays. A dict given as `stages` gains `observe_s`, the
-    seconds spent in the observers, and `noise_wait_s`, the seconds spent
-    waiting for the noise of a block.
+    seconds spent in the observers, `noise_wait_s`, the seconds spent
+    waiting for the noise of a block, and `noise_draw_s`, the producer's own
+    CPU seconds of drawing, scaling and writing the noise, which it sends
+    with the last block. On one core the producer preempts this process
+    rather than keep it waiting, so there only `noise_draw_s` shows what the
+    noise costs.
 
     Path i is bit-identical to iterating step_euler with the increments
     sqrt(dt) * standard_normal of its own (seed, i) stream, whatever the
@@ -296,7 +308,7 @@ def simulate_paths(
             nb = min(rows, cfg.n_steps - first)
             start = time.perf_counter()
             try:
-                here.recv_bytes()  # slot k % 2 holds block k's noise
+                message = here.recv_bytes()  # slot k % 2 holds block k's noise
             except (EOFError, ConnectionError):  # a killed child can reset the socket
                 raise BepoError(
                     f"the noise producer exited after {first} of {cfg.n_steps} steps"
@@ -340,7 +352,8 @@ def simulate_paths(
         producer.join()
         producer.close()
     if stages is not None:
-        stages.update(observe_s=observe_s, noise_wait_s=wait_s)
+        (draw_s,) = struct.unpack("d", message)
+        stages.update(observe_s=observe_s, noise_wait_s=wait_s, noise_draw_s=draw_s)
     return x, y, z
 
 

@@ -9,9 +9,13 @@ read through SuperLU's transposed solve (`_sgs`). The lower half enters as
 S R (D+L) R, with R the index reversal and S = -1 on the Neumann rows. R is
 the point reflection (x, y, z) -> (-x, -y, -z), under which the oscillator
 is odd unless its force has a constant term, and then S R (D+L) R = D+U bit
-for bit; the one incomplete LU then serves both sweeps. R and S are folded
-into the y-line matrix that GMRES iterates on (`ResolventSolver`), so a
-preconditioner application makes no gather. The line blocks hold the stiff
+for bit; the one incomplete LU then serves both sweeps of a forward solve.
+R and S are folded into the y-line matrix that GMRES iterates on
+(`ResolventSolver`), so a preconditioner application makes no gather. The
+same symmetry halves an adjoint solve: its solution w = S R w is fixed by
+its first (n+1)/2 unknowns in y-line order, so the solver folds the system
+onto them and factors the two halves of the folded matrix, each of half
+the size, in place of the one shared factor. The line blocks hold the stiff
 y diffusion and the beta drift; the x and z advection speeds depend on y
 only, so each half's upwind x/z transport runs one way between lines, and
 the forward and backward sweeps absorb the y < 0 and y > 0 rows. The GMRES
@@ -22,7 +26,8 @@ rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
 the center node. An adjoint solver (`ResolventSolver(..., adjoint=True)`)
-solves M^T w = e_c once (`invariant_weights`); then stat(g) = w @ g for
+solves M^T w = e_c once (`invariant_weights`), on the folded system when
+the oscillator is odd; then stat(g) = w @ g for
 every observable on the grid. w is the discrete invariant measure, and it
 also gives the crossing rate by Rice's formula (`rice_rate`) and mass
 diagnostics (`weight_diagnostics`). A full field v, and with it the spread
@@ -67,7 +72,8 @@ class SolverConfig:
     drop_tol      : threshold below which the incomplete LU of a
                     block-triangular half drops an entry: of D+U, and of
                     S R (D+L) R when it is not D+U itself (y-line order),
-                    each transposed for a forward solver; 0 factors exactly
+                    each transposed for a forward solver, or of the two
+                    halves of a folded adjoint system; 0 factors exactly
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -174,8 +180,9 @@ def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
         raise PreconditionerBreakdown(str(exc)) from exc
 
 
-def _sgs(first, diag, second):
-    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve.
+def _sgs(first, diag, second, reverse=False):
+    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve,
+    with `reverse` R second^-T diag first^-T r.
 
     SuperLU's transposed solve gathers along the rows of the factor, where
     its natural solve scatters down columns, and it is the faster mode on
@@ -188,15 +195,30 @@ def _sgs(first, diag, second):
     def apply(r):
         return second.solve(diag @ first.solve(r, trans="T"), trans="T")
 
-    return apply
+    def apply_reversed(r):
+        return second.solve(diag @ first.solve(r, trans="T"), trans="T")[::-1].copy()
+
+    return apply_reversed if reverse else apply
 
 
-def _gmres(A, b, precond, tol, restart, cycles):
+def _norm(r) -> float:
+    """The Euclidean norm of r."""
+    return float(np.linalg.norm(r))
+
+
+def _folded_norm(r) -> float:
+    """The Euclidean norm of the full vector that a folded one r stands for:
+    every entry but the last, the center, stands for itself and its mirror."""
+    return math.sqrt(2.0 * float(r @ r) - float(r[-1]) ** 2)
+
+
+def _gmres(A, b, precond, tol, restart, cycles, norm):
     """Left-preconditioned restarted GMRES from 0; returns v and the number
     of Arnoldi steps.
 
-    Stops when the true residual ||b - A v|| is at most tol * ||b||, or
-    after `cycles` restart cycles; the caller checks the residual again.
+    Stops when the true residual ||b - A v|| is at most tol * ||b||, both
+    taken by `norm`, or after `cycles` restart cycles; the caller checks the
+    residual again.
     Each cycle starts from the true residual r and iterates until the
     preconditioned residual has fallen by the factor that r still needs:
     ||M^-1 r|| * tol * ||b|| / ||r||, which in the first cycle is
@@ -212,7 +234,7 @@ def _gmres(A, b, precond, tol, restart, cycles):
     """
     restart = min(restart, b.size)
     v = np.zeros(b.size)
-    r, r_norm = b, float(np.linalg.norm(b))
+    r, r_norm = b, norm(b)
     target = tol * r_norm
     basis = np.empty((restart + 1, b.size))
     hess = np.zeros((restart, restart))
@@ -250,13 +272,30 @@ def _gmres(A, b, precond, tol, restart, cycles):
                 m = j + 1
                 x = v + solve_triangular(hess[:m, :m], g[:m], check_finite=False) @ basis[:m]
                 r = b - A @ x
-                r_norm = float(np.linalg.norm(r))
+                r_norm = norm(r)
                 if last or not r_norm > target:
                     break
                 inner_target = abs(g_next) * target / r_norm
             basis[j + 1] = w / h_next
         v = x
     return v, steps
+
+
+def _fold(Ap: sp.csc_matrix, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The folded adjoint matrix, from the CSC of P M P^T, whose first
+    n_f = (n+1)/2 columns, read as rows, are the top n_f rows of P M^T P^T:
+    each column p >= n_f moves onto source[p] = n-1-p with sign[p], the
+    sign S of p (`GridSpec.yline_fold`), and no two entries are summed.
+    Returns it as CSR, with the positions of the stored entries that
+    moved."""
+    free = (source.size + 1) // 2
+    top = Ap.indptr[free]
+    cols = Ap.indices[:top]
+    folded = sp.csr_matrix(
+        (sign[cols] * Ap.data[:top], source[cols], Ap.indptr[: free + 1].copy()),
+        shape=(free, free),
+    )
+    return folded, np.flatnonzero(cols >= free)
 
 
 def require_finite(b: np.ndarray) -> None:
@@ -277,7 +316,8 @@ class ResolventSolver:
     factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the CSR arrays of
     the halves, and an adjoint one factors D+U and S R (D+L) R from the CSC.
     When the lower half is the upper one bit for bit (`_mirrors`), one
-    incomplete LU serves both sweeps; `factors` lists the computed ones.
+    incomplete LU serves both sweeps of a forward solver, and an adjoint one
+    folds (below); `factors` lists the computed ones.
 
     GMRES runs on the y-line matrix `Ay` with the reversal R and the signs
     S folded in: S R P M P^T forward and P M^T P^T R S adjoint, one the
@@ -289,6 +329,20 @@ class ResolventSolver:
     takes and returns natural-order vectors and permutes each once
     (`to_yline`, `to_natural`). `A` rebuilds the natural-order matrix, M or
     M^T, on each access; the solver keeps only `Ay`.
+
+    A mirrored adjoint solver is `folded`: with R M R = S M, a b = R b has
+    the solution w = S R w, so in y-line order only the first
+    n_f = (n+1)/2 unknowns are free (`GridSpec.yline_fold`). `Ay` is then
+    the n_f x n_f matrix of the top n_f rows of P M^T P^T, each column
+    p >= n_f folded onto column n-1-p with the sign S. It keeps every entry
+    apart, so a folded entry may share its column with another and `A` can
+    unfold it. `precond` is the symmetric Gauss-Seidel sweep
+    (D+U)^-1 D (D+L)^-1 of the folded matrix's own line split, whose halves
+    do not mirror each other, so both are factored: (D+L)^T, and
+    R (D+U)^T R, which is block upper like it, SuperLU's faster layout, and
+    costs one reversal of each result. GMRES and the final check measure
+    the residual by `_folded_norm`, the norm of the full residual, and a
+    b != R b raises DegenerateInput.
     """
 
     def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None, adjoint: bool = False):
@@ -318,9 +372,22 @@ class ResolventSolver:
         lower_half = sp.csc_matrix(
             _cut(Ap, side <= 0, major=True, minor=True, negate=flip), shape=Ap.shape
         )
+        mirrored = _mirrors(lower_half, upper_half)
+        self.folded = adjoint and mirrored
+        self._norm = _folded_norm if self.folded else _norm
+        if self.folded:
+            del lower_half, upper_half, side, flip
+            self._source, sign = sys.spec.yline_fold()
+            self.Ay, self._folded_at = _fold(Ap, self._source, sign)
+            del Ap  # before the factors, whose workspace would sit on top of it
+            self._factor_folded(J)
+            # the first n_f entries of P b in; w = P^T (sign * z[source]) out
+            free = self.Ay.shape[0]
+            self._rows, self._cols = (perm[:free], np.ones(free)), (perm, sign)
+            return
         # a half is dropped once it is factored or found mirrored, so
         # SuperLU's workspace never sits on top of both
-        if _mirrors(lower_half, upper_half):
+        if mirrored:
             del lower_half
             upper = lower = _ilu(upper_half, self.cfg)
             self.factors = (upper,)
@@ -346,33 +413,74 @@ class ResolventSolver:
         flipped, plain = (perm[::-1].copy(), sign.ravel()), (perm, np.ones(n))
         self._rows, self._cols = (plain, flipped) if adjoint else (flipped, plain)
 
+    def _factor_folded(self, J: int) -> None:
+        """The factors and the preconditioner of the folded `Ay` (`_fold`),
+        split into lines of J."""
+        lines = np.arange(self.Ay.shape[0], dtype=np.int32) // J
+        side = self.Ay.indices // J - np.repeat(lines, np.diff(self.Ay.indptr))
+        del lines
+        # read as CSC: (D+L)^T and R (D+U)^T R of the folded matrix's own
+        # split, both block upper, and R D
+        lower = _ilu(sp.csc_matrix(_cut(self.Ay, side <= 0), shape=self.Ay.shape), self.cfg)
+        upper = _ilu(
+            sp.csc_matrix(_cut(self.Ay, side >= 0, major=True, minor=True), shape=self.Ay.shape),
+            self.cfg,
+        )
+        self.factors = (lower, upper)
+        diag = sp.csr_matrix(_cut(self.Ay, side == 0, major=True), shape=self.Ay.shape)
+        self.precond = _sgs(lower, diag, upper, reverse=True)
+
     def to_yline(self, b: np.ndarray) -> np.ndarray:
-        """Q_rows b: a natural-order right-hand side in the order of `Ay`."""
+        """Q_rows b: a natural-order right-hand side in the order of `Ay`.
+        A folded solver raises DegenerateInput unless b = R b bit for bit."""
+        if self.folded and not np.array_equal(b, b[::-1]):
+            raise DegenerateInput(
+                "a folded adjoint solver needs a right-hand side symmetric under "
+                "the point reflection"
+            )
         index, sign = self._rows
         return sign * b[index]
 
     def to_natural(self, z: np.ndarray) -> np.ndarray:
-        """Q_cols^T z: a solution of `Ay` in natural order."""
+        """Q_cols^T z: a solution of `Ay` in natural order, unfolded to
+        w = S R w when the solver is folded."""
         index, sign = self._cols
-        v = np.empty_like(z)
+        if self.folded:
+            z = z[self._source]
+        v = np.empty(self.n)
         v[index] = sign * z
         return v
 
     @property
     def A(self) -> sp.csr_matrix:
         """The natural-order matrix this solver inverts, M or with `adjoint`
-        M^T, rebuilt from `Ay` on each access."""
+        M^T, rebuilt from `Ay` on each access; a folded `Ay` is unfolded
+        first, bit for bit."""
         coo = self.Ay.tocoo()
         (rows, row_sign), (cols, col_sign) = self._rows, self._cols
-        data = row_sign[coo.row] * col_sign[coo.col] * coo.data
-        return sp.csr_matrix((data, (rows[coo.row], cols[coo.col])), shape=coo.shape)
+        if not self.folded:
+            data = row_sign[coo.row] * col_sign[coo.col] * coo.data
+            return sp.csr_matrix((data, (rows[coo.row], cols[coo.col])), shape=coo.shape)
+        # unfold the columns into the top n_f rows of P M^T P^T, then add
+        # every row but the center's mirror: R (P M^T P^T) R = P M^T P^T S
+        n, at = self.n, self._folded_at
+        row, col, data = coo.row, coo.col.copy(), coo.data.copy()
+        col[at] = n - 1 - col[at]
+        data[at] *= col_sign[col[at]]
+        neumann = col_sign * col_sign[::-1]
+        low = row < self.Ay.shape[0] - 1
+        row = np.concatenate([row, n - 1 - row[low]])
+        data = np.concatenate([data, neumann[col[low]] * data[low]])
+        col = np.concatenate([col, n - 1 - col[low]])
+        return sp.csr_matrix((data, (cols[row], cols[col])), shape=(n, n))
 
     def solve(self, b: np.ndarray) -> SolveReport:
         """Solve M v = b (M^T v = b with `adjoint`) to
         ||M v - b|| <= rel_tol * ||b||.
 
         Deterministic: no randomized components, fixed reduction order.
-        Raises NonFiniteState for a NaN or infinite right-hand side, and
+        Raises NonFiniteState for a NaN or infinite right-hand side, a
+        folded solver DegenerateInput for a b != R b, both before GMRES, and
         NoConvergence when the recomputed true residual, taken on `Ay`, is
         above the target or not finite.
         """
@@ -383,10 +491,9 @@ class ResolventSolver:
             return SolveReport(v=np.zeros(self.n), residual=0.0, iterations=0)
 
         c = self.to_yline(b)
-        z, iters = _gmres(
-            self.Ay, c, self.precond, cfg.rel_tol * cfg.polish_factor, cfg.restart, cfg.max_iters
-        )
-        res = float(np.linalg.norm(c - self.Ay @ z))
+        tol = cfg.rel_tol * cfg.polish_factor
+        z, iters = _gmres(self.Ay, c, self.precond, tol, cfg.restart, cfg.max_iters, self._norm)
+        res = self._norm(c - self.Ay @ z)
         if not res <= cfg.rel_tol * bnorm:
             raise NoConvergence(iters, res / bnorm)
         return SolveReport(v=self.to_natural(z), residual=res, iterations=iters)
@@ -429,8 +536,10 @@ def invariant_weights(solver: ResolventSolver, grid: Grid) -> SolveReport:
     discrete invariant measure: its equation rows sum to 1 (the constant
     observable), and the small-lam limit of its mass is the invariant
     measure of the oscillator. On the Neumann rows w holds the multipliers
-    of the boundary conditions, not mass. A forward solver raises
-    ValueError before it iterates: it would solve M w = e_c instead.
+    of the boundary conditions, not mass. e_c is symmetric under the point
+    reflection, so a folded solver takes it, and its w = S R w holds bit for
+    bit. A forward solver raises ValueError before it iterates: it would
+    solve M w = e_c instead.
     """
     if not solver.adjoint:
         raise ValueError("invariant_weights needs a solver built with adjoint=True")

@@ -443,20 +443,27 @@ def test_manifests_record_stage_timings(tmp_path):
         "convergence": run_convergence,
         "cross": run_cross_validate,
     }
-    # one incomplete LU per matrix for the default model; convergence with
-    # one refinement per axis factors 1 + 3 levels
-    factors = {"solve": 1, "sweep": 1, "band-sweep": 1, "convergence": 4, "cross": 1}
-    pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz"}
+    # one incomplete LU per matrix for the default model forward, and two
+    # half-size ones for the folded adjoint solve of the sweeps and
+    # cross-validate; convergence with one refinement per axis factors
+    # 1 + 3 levels
+    factors = {"solve": 1, "sweep": 2, "band-sweep": 2, "convergence": 4, "cross": 2}
+    # GMRES runs on n = 9^3 unknowns forward and on (n+1)/2 folded;
+    # convergence sums its levels, 9^3 and three of 17 x 9 x 9
+    unknowns = {"solve": 729, "sweep": 365, "band-sweep": 365, "convergence": 4860, "cross": 365}
+    pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz", "unknowns"}
     # the sweeps and cross-validate run Monte Carlo here
-    mc_keys = {"simulate_s", "path_steps_per_s", "observe_s", "noise_wait_s"}
+    mc_keys = {"simulate_s", "path_steps_per_s", "observe_s", "noise_wait_s", "noise_draw_s"}
     for name, run in runs.items():
         run(cfg, tmp_path / name)
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
         with_mc = name in ("sweep", "band-sweep", "cross")
         assert set(stages) == pde_keys | (mc_keys if with_mc else set())
         assert all(stages[key] > 0 for key in stages)
-        assert isinstance(stages["factors"], int) and isinstance(stages["factor_nnz"], int)
+        for key in ("factors", "factor_nnz", "unknowns"):
+            assert isinstance(stages[key], int)
         assert stages["factors"] == factors[name]
+        assert stages["unknowns"] == unknowns[name]
         if with_mc:
             path_steps = cfg.sim.n_paths * cfg.sim.n_steps
             assert stages["path_steps_per_s"] == path_steps / stages["simulate_s"]
@@ -464,6 +471,8 @@ def test_manifests_record_stage_timings(tmp_path):
             parts = [stages["observe_s"], stages["noise_wait_s"]]
             assert all(math.isfinite(v) for v in parts)
             assert sum(parts) <= stages["simulate_s"]
+            # the producer's own seconds, taken in the other process
+            assert math.isfinite(stages["noise_draw_s"])
     # Monte Carlo off: no Monte Carlo stages
     run_crossing_sweep(quick_config("observable.eps0 = 1.0\nmc.enabled = false\n"
                                     "sweep.values = 0.5\n"), tmp_path / "no-mc")

@@ -68,3 +68,15 @@ def test_index_and_yline_order_number_a_non_cubic_spec():
     # the reversed order is the point reflection
     I, J, K = spec.shape
     assert (perm[::-1] == spec.index(I - 1 - i[perm], J - 1 - j[perm], K - 1 - k[perm])).all()
+
+
+def test_yline_fold_rebuilds_a_reflection_symmetric_vector_from_its_first_half():
+    spec = GridSpec(lam=0.1, I=5, J=7, K=3)
+    n, free = spec.n_nodes, (spec.n_nodes + 1) // 2
+    source, sign = spec.yline_fold()
+    assert (source[:free] == np.arange(free)).all() and (sign[:free] == 1.0).all()
+    # z = S R z in the y-line order, S = -1 on the Neumann nodes j = 0, J-1
+    neumann = np.where(np.isin(np.arange(n) % spec.J, (0, spec.J - 1)), -1.0, 1.0)
+    z = np.random.default_rng(0).standard_normal(n)
+    z = z + neumann * z[::-1]
+    assert np.array_equal(sign * z[:free][source], z)

@@ -139,6 +139,21 @@ def test_block_size_does_not_change_results():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_steps", [3000, 3072], ids=["partial-last-block", "whole-blocks"])
+def test_stages_carry_the_producers_noise_seconds_and_change_no_sample(n_steps):
+    """The producer sends its own seconds of drawing, scaling and writing
+    the noise with the last block; asking for them changes no sample."""
+    cfg = SimConfig(dt=1e-3, n_steps=n_steps, burn_in=0, seed=7, n_paths=3)
+    outs, stages = [], {}
+    for given in (None, stages):
+        rec = SampleRecorder()
+        simulate_paths(cfg, MODEL, [rec], block=512, stages=given)
+        outs.append(rec.arrays())
+    assert math.isfinite(stages["noise_draw_s"]) and stages["noise_draw_s"] > 0
+    for a, b in zip(outs[0], outs[1]):
+        assert np.array_equal(a, b)
+
+
 def test_engine_matches_scalar_stepper_bitwise():
     cfg = SimConfig(dt=1e-3, n_steps=4000, burn_in=0, seed=11)
     rec = SampleRecorder()

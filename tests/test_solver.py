@@ -6,11 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import bepo.solver as solver_module
 from bepo.assembly import assemble_matrix, assemble_rhs
 from bepo.config import parse_config
-from bepo.errors import NoConvergence, NonFiniteState
+from bepo.errors import DegenerateInput, NoConvergence, NonFiniteState
 from bepo.experiments import run_solve
 from bepo.grid import GridSpec, build_grid
 from bepo.model import ForceSpec, ModelParams
@@ -27,6 +28,10 @@ from bepo.solver import (
 )
 
 MODEL = ModelParams()
+# a force with a constant term: not odd under the point reflection
+OFFSET = ModelParams(force=ForceSpec(const=0.3))
+# odd, with every other parameter moved off its default
+ALTERED = ModelParams(k=1.3, alpha=0.2, sigma=0.8, force=ForceSpec(c0=0.9, c1=0.1))
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +173,8 @@ def test_inaccurate_gmres_result_with_success_flag_raises(grid9, matrix9, monkey
     comes back with info = 0 must not pass."""
     real_gmres = solver_module._gmres
 
-    def short(A, b, precond, tol, restart, cycles):
-        return real_gmres(A, b, precond, tol, 2, 1)
+    def short(A, b, precond, tol, restart, cycles, norm):
+        return real_gmres(A, b, precond, tol, 2, 1, norm)
 
     monkeypatch.setattr(solver_module, "_gmres", short)
     b = assemble_rhs(grid9, mollified_crossing_speed(0.0, 1.0), 1e-2)
@@ -181,12 +186,17 @@ def test_inaccurate_gmres_result_with_success_flag_raises(grid9, matrix9, monkey
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_gmres_matches_a_dense_solve(grid9, matrix9, adjoint):
     """On 9^3 the solve meets rel_tol on the true residual, and its field
-    agrees with a dense LU solve to the accuracy that residual implies."""
+    agrees with a dense LU solve to the accuracy that residual implies. The
+    adjoint solver is folded, so its right-hand side is made symmetric under
+    the point reflection."""
     solver = ResolventSolver(matrix9, adjoint=adjoint)
+    assert solver.folded == adjoint
     dense = solver.A.toarray()
     natural = matrix9.to_csr().toarray()
     assert np.array_equal(dense, natural.T if adjoint else natural)
     b = assemble_rhs(grid9, mollified_crossing_speed(0.5, 1.0), 1e-2)
+    if adjoint:
+        b = b + b[::-1]
     rep = solver.solve(b)
     exact = np.linalg.solve(dense, b)
     rel_tol = solver.cfg.rel_tol
@@ -245,9 +255,9 @@ def test_spent_solver_is_freed_without_the_cycle_collector(grid9, matrix9):
         gc.enable()
 
 
-def _band_system(I, J, K, lam=1e-2):
+def _band_system(I, J, K, lam=1e-2, model=MODEL):
     grid = build_grid(GridSpec(lam=lam, I=I, J=J, K=K))
-    return grid, assemble_matrix(grid, MODEL, lam)
+    return grid, assemble_matrix(grid, model, lam)
 
 
 def test_elongated_band_system_solves_to_rel_tol():
@@ -293,16 +303,104 @@ def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
 
 
 def test_transposed_solver_preconditions_with_the_transpose():
-    """An adjoint solver applies the dense transpose
-    P^T (D+L)^-T D^T (D+U)^-T P of the forward preconditioner, and its
-    matrix is M^T."""
+    """An adjoint solver that does not fold, here for a force with a
+    constant term, applies the dense transpose P^T (D+L)^-T D^T (D+U)^-T P
+    of the forward preconditioner, and its matrix is M^T."""
     I, J, K = 5, 7, 5
-    grid, matrix = _band_system(I, J, K)
+    grid, matrix = _band_system(I, J, K, model=OFFSET)
     adjoint = ResolventSolver(matrix, SolverConfig(drop_tol=0.0), adjoint=True)
+    assert not adjoint.folded
     expected = _dense_sgs(matrix, I, J, K).T
     got = _natural_precond(adjoint)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
+
+
+def _dense_fold(matrix, I, J, K):
+    """The top n_f = (n+1)/2 rows of P M^T P^T from a dense M^T, each column
+    q >= n_f added onto column n-1-q with the Neumann sign of q."""
+    n = I * J * K
+    free = (n + 1) // 2
+    perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
+    top = matrix.to_csr().toarray().T[np.ix_(perm[:free], perm)]
+    sign = np.where(np.isin(np.arange(n) % J, (0, J - 1)), -1.0, 1.0)
+    folded = top[:, :free].copy()
+    for q in range(free, n):
+        folded[:, n - 1 - q] += sign[q] * top[:, q]
+    return folded
+
+
+def test_folded_solver_preconditions_with_the_folded_sweeps():
+    """A mirrored adjoint solver iterates on the dense fold of M^T, and at
+    drop_tol = 0 its preconditioner is the symmetric block Gauss-Seidel
+    sweep (D+U)^-1 D (D+L)^-1 of that folded matrix's own line split, in
+    which the center line's free half is a block of its own."""
+    I, J, K = 5, 7, 5
+    grid, matrix = _band_system(I, J, K)
+    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0), adjoint=True)
+    assert solver.folded
+    folded = _dense_fold(matrix, I, J, K)
+    assert np.array_equal(solver.Ay.toarray(), folded)
+    line = np.arange(folded.shape[0]) // J
+    lower = np.where(line[None, :] <= line[:, None], folded, 0.0)
+    diag = np.where(line[None, :] == line[:, None], folded, 0.0)
+    upper = np.where(line[None, :] >= line[:, None], folded, 0.0)
+    expected = np.linalg.inv(upper) @ diag @ np.linalg.inv(lower)
+    got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray().T)
+
+
+@pytest.mark.parametrize("model", [MODEL, ALTERED], ids=["default", "altered"])
+@pytest.mark.parametrize("shape", [(9, 9, 9), (17, 17, 17), (5, 7, 3), (7, 3, 5)], ids=str)
+def test_folded_weights_match_the_unfolded_solve(shape, model, monkeypatch):
+    """A mirrored adjoint solver runs GMRES on n_f = (n+1)/2 unknowns and
+    unfolds w = S R w bit for bit. With J = 3 a Neumann column folds onto
+    the center row, so the fold's own signs count. w agrees with the solve of the full
+    system (`_mirrors` patched to False) as far as the two residuals allow,
+    ||w - w_u||_1 <= ||M^-T||_1 (||r||_1 + ||r_u||_1), with the norm of the
+    inverse from onenormest; it meets rel_tol on the full M^T, which `A`
+    rebuilds exactly. A right-hand side b != R b raises before GMRES, also
+    one with b = S R b: the Neumann signs belong to w, not to b."""
+    lam = 1e-3
+    grid = build_grid(GridSpec(b=model.b, lam=lam, I=shape[0], J=shape[1], K=shape[2]))
+    matrix = assemble_matrix(grid, model, lam)
+    n = matrix.n
+    solver = ResolventSolver(matrix, adjoint=True)
+    assert solver.folded and solver.Ay.shape == ((n + 1) // 2,) * 2
+    w = invariant_weights(solver, grid).v
+    w3 = grid.spec.field(w)
+    mirror = w3[::-1, ::-1, ::-1].copy()
+    mirror[:, [0, -1], :] *= -1.0
+    assert np.array_equal(w3, mirror)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_mirrors", lambda lower, upper: False)
+        unfolded = ResolventSolver(matrix, adjoint=True)
+    assert not unfolded.folded
+    w_u = invariant_weights(unfolded, grid).v
+    transpose = matrix.to_csr().T.tocsr()
+    assert (solver.A != transpose).nnz == 0
+    e = np.zeros(n)
+    grid.spec.field(e)[grid.center] = 1.0
+    lu = spla.splu(transpose.tocsc())
+    inverse = spla.LinearOperator(
+        transpose.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T")
+    )
+    residuals = np.abs(e - transpose @ w).sum() + np.abs(e - transpose @ w_u).sum()
+    assert np.abs(w - w_u).sum() <= spla.onenormest(inverse) * residuals
+    assert np.linalg.norm(e - solver.A @ w) <= solver.cfg.rel_tol
+
+    def never(*args, **kwargs):
+        raise AssertionError("GMRES ran on an asymmetric right-hand side")
+
+    monkeypatch.setattr(solver_module, "_gmres", never)
+    node = grid.spec.index(1, 0, 0)
+    for mirrored in (0.0, -1.0):
+        b = np.zeros(n)
+        b[node], b[n - 1 - node] = 1.0, mirrored
+        with pytest.raises(DegenerateInput, match="point reflection"):
+            solver.solve(b)
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-3])
@@ -449,19 +547,24 @@ def test_factors_without_warning_and_solves(shape, sigma):
 @pytest.mark.parametrize("shape", [(5, 7, 9), (9, 9, 9), (17, 9, 13)], ids=str)
 def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol, monkeypatch):
     """The lower sweep through the factor of the upper half applies bit for
-    bit what a factor of S R (D+L) R of its own applies, forward and
-    adjoint."""
+    bit what a factor of S R (D+L) R of its own applies. An adjoint solver
+    folds instead: it factors the two halves of the folded system, each of
+    n_f = (n+1)/2 unknowns, where an unmirrored one factors two of n."""
     _, matrix = _band_system(*shape)
     cfg = SolverConfig(drop_tol=drop_tol)
     r = np.random.default_rng(3).standard_normal(matrix.n)
-    for adjoint in (False, True):
-        solver = ResolventSolver(matrix, cfg, adjoint=adjoint)
-        assert len(solver.factors) == 1
-        with monkeypatch.context() as patch:
-            patch.setattr(solver_module, "_mirrors", lambda lower, upper: False)
-            own = ResolventSolver(matrix, cfg, adjoint=adjoint)
-        assert len(own.factors) == 2
-        assert np.array_equal(solver.precond(r), own.precond(r))
+    solver = ResolventSolver(matrix, cfg)
+    assert len(solver.factors) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_mirrors", lambda lower, upper: False)
+        own = ResolventSolver(matrix, cfg)
+        unfolded = ResolventSolver(matrix, cfg, adjoint=True)
+    assert len(own.factors) == 2
+    assert np.array_equal(solver.precond(r), own.precond(r))
+    n, free = matrix.n, (matrix.n + 1) // 2
+    folded = ResolventSolver(matrix, cfg, adjoint=True)
+    assert [factor.shape for factor in folded.factors] == [(free, free)] * 2
+    assert [factor.shape for factor in unfolded.factors] == [(n, n)] * 2
 
 
 @pytest.mark.parametrize(
@@ -476,9 +579,10 @@ def test_mirrored_lower_sweep_equals_its_own_factor(shape, drop_tol, monkeypatch
     ids=["default", "c0", "c1", "alpha-b", "const"],
 )
 def test_one_incomplete_lu_unless_the_force_has_an_offset(model, factored, monkeypatch):
-    """A model odd under the point reflection factors one half only, forward
-    and adjoint; a constant force term breaks the mirror and both halves
-    are factored."""
+    """A model odd under the point reflection factors one half only forward,
+    and adjoint it folds and factors the two halves of n_f = (n+1)/2
+    unknowns; a constant force term breaks the mirror, and both halves of
+    n unknowns are factored either way."""
     grid = build_grid(GridSpec(b=model.b, lam=1e-2, I=9, J=9, K=9))
     matrix = assemble_matrix(grid, model, 1e-2)
     calls = []
@@ -489,10 +593,13 @@ def test_one_incomplete_lu_unless_the_force_has_an_offset(model, factored, monke
         return real_ilu(half, cfg)
 
     monkeypatch.setattr(solver_module, "_ilu", counted)
-    for adjoint in (False, True):
+    n, free = matrix.n, (matrix.n + 1) // 2
+    folded = [(free, free)] * 2 if factored == 1 else [(n, n)] * 2
+    for adjoint, shapes in ((False, [(n, n)] * factored), (True, folded)):
         calls.clear()
         solver = ResolventSolver(matrix, adjoint=adjoint)
-        assert len(calls) == len(solver.factors) == factored
+        assert len(solver.factors) == len(calls)
+        assert calls == shapes
 
 
 def test_force_offset_solves_with_two_factors():
