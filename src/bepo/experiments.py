@@ -47,6 +47,7 @@ from .solver import (
     evaluate_statistic,
     invariant_weights,
     magnitude_violations,
+    reflection_symmetric,
     require_finite,
     rice_rate,
     weight_diagnostics,
@@ -85,15 +86,20 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     sides and checks them for non-finite entries, and makes one solve. With
     `adjoint` the solver is built for the transpose, and its solve gives
     the weights w of `invariant_weights` (stat(g) = w @ g for every
-    observable); otherwise it is the forward solve for the field v of the
-    one observable. The assembled matrix is dropped once the solver holds
-    its y-line copy. Returns the report, the grid, the right-hand sides and
-    the manifest's `stages` record: seconds of assembly (matrix and
-    right-hand sides), of the y-line split and the incomplete LUs, and of
-    the Krylov solve, plus the number of incomplete LUs computed (1 when
-    the two sweeps share one, 2 for a folded adjoint solver), their stored
-    nonzeros, a shared factor counted once, and the number of unknowns
-    GMRES ran on (n_f = (n+1)/2 when the solver folds, n otherwise).
+    observable); its right-hand sides are built after the factorization.
+    Otherwise it is the forward solve for the field v of the one
+    observable, whose right-hand side is built first: when it is b = S R b
+    bit for bit (`reflection_symmetric`), as a band observable, the
+    constant one and a crossing at level 0 are, the solver folds onto half
+    the unknowns. The assembled matrix is dropped once the solver holds its
+    y-line copy. Returns the report, the grid, the right-hand sides and the
+    manifest's `stages` record: seconds of assembly (matrix and right-hand
+    sides), of the y-line split and the incomplete LUs, and of the Krylov
+    solve, plus the number of incomplete LUs computed (2 for a folded
+    solver or an unmirrored one, 1 when the two sweeps share one), their
+    stored nonzeros, a shared factor counted once, and the number of
+    unknowns GMRES ran on (n_f = (n+1)/2 when the solver folds, n
+    otherwise).
     """
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
@@ -105,17 +111,26 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
                 f"crossing level a1={params['a1']:g} lies outside the truncation "
                 f"box (x_bar={spec.x_bar:g}); the statistic will be near zero"
             )
+
+    def build_rhs():
+        rhs = [assemble_rhs(grid, g, spec.lam) for g in observables]
+        for b in rhs:
+            require_finite(b)
+        return rhs
+
     start = time.perf_counter()
     matrix = assemble_matrix(grid, cfg.model, spec.lam)
+    # a forward solver folds when its right-hand side is b = S R b, which is
+    # read before the solver is built; adjoint right-hand sides come after
+    # the factorization, whose freed workspace they reuse
+    rhs = None if adjoint else build_rhs()
+    fold = None if adjoint else reflection_symmetric(rhs[0], spec, neumann=-1.0)
     assembled = time.perf_counter()
-    solver = ResolventSolver(matrix, cfg.solver, adjoint=adjoint)
+    solver = ResolventSolver(matrix, cfg.solver, adjoint=adjoint, fold=fold)
     del matrix  # the solver keeps its own y-line copy
     factored = time.perf_counter()
-    # the right-hand sides come after the factorization, whose freed
-    # workspace they reuse; built before it, they raise the peak RSS
-    rhs = [assemble_rhs(grid, g, spec.lam) for g in observables]
-    for b in rhs:
-        require_finite(b)
+    if adjoint:
+        rhs = build_rhs()
     ready = time.perf_counter()
     report = invariant_weights(solver, grid) if adjoint else solver.solve(rhs[0])
     stages = {

@@ -11,27 +11,32 @@ the point reflection (x, y, z) -> (-x, -y, -z), under which the oscillator
 is odd unless its force has a constant term, and then S R (D+L) R = D+U bit
 for bit; the one incomplete LU then serves both sweeps of a forward solve.
 R and S are folded into the y-line matrix that GMRES iterates on
-(`ResolventSolver`), so a preconditioner application makes no gather. The
-same symmetry halves an adjoint solve: its solution w = S R w is fixed by
-its first (n+1)/2 unknowns in y-line order, so the solver folds the system
-onto them and factors the two halves of the folded matrix, each of half
-the size, in place of the one shared factor. The line blocks hold the stiff
-y diffusion and the beta drift; the x and z advection speeds depend on y
-only, so each half's upwind x/z transport runs one way between lines, and
-the forward and backward sweeps absorb the y < 0 and y > 0 rows. The GMRES
-routine (`_gmres`) iterates on the preconditioned residual but ends each
-restart cycle on the true residual, and the solver recomputes that residual
-once more before it accepts a solution, so every returned field meets
-rel_tol on the original system.
+(`ResolventSolver`), so a preconditioner application makes no gather.
+
+The same symmetry halves a solve whose right-hand side has it: an adjoint
+one, whose b = R b gives w = S R w, and a forward one built with `fold`,
+whose b = S R b gives v = R v. A band observable, the constant one and a
+crossing at level 0 are b = S R b. Either solution is fixed by its first
+(n+1)/2 unknowns in y-line order, so the solver folds the system onto
+them and factors the two halves of the folded matrix, each of half the
+size, in place of the one shared factor.
+
+The line blocks hold the stiff y diffusion and the beta drift; the x and
+z advection speeds depend on y only, so each half's upwind x/z transport
+runs one way between lines, and the forward and backward sweeps absorb
+the y < 0 and y > 0 rows. The GMRES routine (`_gmres`) iterates on the
+preconditioned residual but ends each restart cycle on the true residual,
+and the solver recomputes that residual once more before it accepts a
+solution, so every returned field meets rel_tol on the original system.
 
 Every statistic is linear in its observable, stat(g) = e_c^T M^-1 g, with c
 the center node. An adjoint solver (`ResolventSolver(..., adjoint=True)`)
 solves M^T w = e_c once (`invariant_weights`), on the folded system when
-the oscillator is odd; then stat(g) = w @ g for
-every observable on the grid. w is the discrete invariant measure, and it
-also gives the crossing rate by Rice's formula (`rice_rate`) and mass
-diagnostics (`weight_diagnostics`). A full field v, and with it the spread
-and the magnitude diagnostic, still needs a forward solver.
+the oscillator is odd; then stat(g) = w @ g for every observable on the
+grid. w is the discrete invariant measure, and it also gives the crossing
+rate by Rice's formula (`rice_rate`) and mass diagnostics
+(`weight_diagnostics`). A full field v, and with it the spread and the
+magnitude diagnostic, still needs a forward solver.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from scipy.linalg import solve_triangular
 
 from .assembly import SparseSystem
 from .errors import DegenerateInput, NoConvergence, NonFiniteState, PreconditionerBreakdown
-from .grid import Grid
+from .grid import Grid, GridSpec
 
 __all__ = [
     "SolverConfig",
@@ -56,6 +61,7 @@ __all__ = [
     "solve_resolvent",
     "evaluate_statistic",
     "invariant_weights",
+    "reflection_symmetric",
     "require_finite",
     "rice_rate",
     "weight_diagnostics",
@@ -68,12 +74,18 @@ class SolverConfig:
 
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
     max_iters     : GMRES restart cycles
-    restart       : GMRES restart length, capped at the number of unknowns
+    restart       : GMRES restart length, capped at the number of unknowns.
+                    The memory knob: a cycle touches one basis vector of
+                    the unknowns per Arnoldi step, at most restart + 1. At
+                    129^3 the 35 vectors of an unfolded adjoint solve, 2.15M
+                    doubles each, take about 600 MB, against about 380 MB
+                    for the factor's 31.7M nonzeros (estimated from sizes);
+                    a folded solve's vectors are half as long
     drop_tol      : threshold below which the incomplete LU of a
                     block-triangular half drops an entry: of D+U, and of
                     S R (D+L) R when it is not D+U itself (y-line order),
                     each transposed for a forward solver, or of the two
-                    halves of a folded adjoint system; 0 factors exactly
+                    halves of a folded system; 0 factors exactly
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -141,19 +153,25 @@ def _cut(M, keep=None, major=False, minor=False, negate=None):
     return np.ascontiguousarray(data), np.ascontiguousarray(indices), ptr
 
 
-def _mirrors(lower: sp.csc_matrix, upper: sp.csc_matrix) -> bool:
-    """Whether the signed, reflected lower half is the upper one bit for bit.
+def _mirrors(Ap, flip) -> bool:
+    """Whether R Ap R = S Ap bit for bit, for the y-line matrix Ap in CSR or
+    CSC and `flip` true on its stored entries in Neumann rows.
 
     The assembly keeps R M R = S M with S = -1 on the Neumann rows whenever
-    the oscillator is odd under the point reflection R (force.const = 0),
-    and R maps the lines below a line onto those above it, so then
-    S R (D+L) R = D+U. The check reads the matrix, not the model, so a half
-    that does not fit is factored.
+    the oscillator is odd under the point reflection R (force.const = 0).
+    R maps the lines below a line onto those above it, so then
+    S R (D+L) R = D+U, and a right-hand side with the symmetry gives a
+    solution with it. Reversing both axes keeps Ap's sorted order, so the
+    pointers, indices and signed data of R Ap R are compared with Ap's one
+    array at a time, without building R Ap R. The check reads the matrix,
+    not the model, so a matrix that does not fit is neither folded nor
+    shares its factor.
     """
+    n, ptr = Ap.shape[0], Ap.indptr
     return (
-        np.array_equal(lower.indptr, upper.indptr)
-        and np.array_equal(lower.indices, upper.indices)
-        and np.array_equal(lower.data, upper.data)
+        np.array_equal(ptr[-1] - ptr[::-1], ptr)
+        and np.array_equal(n - 1 - Ap.indices[::-1], Ap.indices)
+        and np.array_equal(np.where(flip[::-1], -Ap.data[::-1], Ap.data[::-1]), Ap.data)
     )
 
 
@@ -180,9 +198,10 @@ def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
         raise PreconditionerBreakdown(str(exc)) from exc
 
 
-def _sgs(first, diag, second, reverse=False):
-    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve,
-    with `reverse` R second^-T diag first^-T r.
+def _sgs(first, diag, second, reverse_in=False, reverse_out=False):
+    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve;
+    with `reverse_in` the sweep takes R r, with `reverse_out` it returns R of
+    its result.
 
     SuperLU's transposed solve gathers along the rows of the factor, where
     its natural solve scatters down columns, and it is the faster mode on
@@ -193,12 +212,10 @@ def _sgs(first, diag, second, reverse=False):
     """
 
     def apply(r):
-        return second.solve(diag @ first.solve(r, trans="T"), trans="T")
+        z = second.solve(diag @ first.solve(r[::-1] if reverse_in else r, trans="T"), trans="T")
+        return z[::-1].copy() if reverse_out else z
 
-    def apply_reversed(r):
-        return second.solve(diag @ first.solve(r, trans="T"), trans="T")[::-1].copy()
-
-    return apply_reversed if reverse else apply
+    return apply
 
 
 def _norm(r) -> float:
@@ -208,7 +225,9 @@ def _norm(r) -> float:
 
 def _folded_norm(r) -> float:
     """The Euclidean norm of the full vector that a folded one r stands for:
-    every entry but the last, the center, stands for itself and its mirror."""
+    every entry but the last, the center, stands for itself and its mirror,
+    row n-1-q of the full residual being S_q times row q in either
+    direction."""
     return math.sqrt(2.0 * float(r @ r) - float(r[-1]) ** 2)
 
 
@@ -281,13 +300,14 @@ def _gmres(A, b, precond, tol, restart, cycles, norm):
     return v, steps
 
 
-def _fold(Ap: sp.csc_matrix, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The folded adjoint matrix, from the CSC of P M P^T, whose first
-    n_f = (n+1)/2 columns, read as rows, are the top n_f rows of P M^T P^T:
-    each column p >= n_f moves onto source[p] = n-1-p with sign[p], the
-    sign S of p (`GridSpec.yline_fold`), and no two entries are summed.
-    Returns it as CSR, with the positions of the stored entries that
-    moved."""
+def _fold(Ap, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The folded matrix, from the compressed arrays of P M P^T whose first
+    n_f = (n+1)/2 slices are the top n_f rows of the y-line matrix the
+    solver inverts: the CSR forward, and adjoint the CSC, whose columns
+    read as rows are those of P M^T P^T. Each column p >= n_f moves onto
+    source[p] = n-1-p with sign[p], 1 forward and adjoint the sign S of p
+    (`GridSpec.yline_fold`), and no two entries are summed. Returns it as
+    CSR, with the positions of the stored entries that moved."""
     free = (source.size + 1) // 2
     top = Ap.indptr[free]
     cols = Ap.indices[:top]
@@ -296,6 +316,25 @@ def _fold(Ap: sp.csc_matrix, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
         shape=(free, free),
     )
     return folded, np.flatnonzero(cols >= free)
+
+
+def reflection_symmetric(b: np.ndarray, spec: GridSpec, neumann: float = 1.0) -> bool:
+    """Whether b = s R b bit for bit, with R the point reflection
+    (i, j, k) -> (I-1-i, J-1-j, K-1-k) and s = `neumann` on the Neumann
+    nodes j = 0 and j = J-1, 1 elsewhere. A folded adjoint solver needs
+    b = R b, a folded forward one b = S R b (neumann = -1)."""
+    field = spec.field(b)
+    mirror = field[::-1, ::-1, ::-1]
+    return np.array_equal(field[:, 1:-1], mirror[:, 1:-1]) and np.array_equal(
+        field[:, [0, -1]], neumann * mirror[:, [0, -1]]
+    )
+
+
+def _neumann_sign(n: int, J: int) -> np.ndarray:
+    """S in y-line order: -1 on the Neumann nodes, the ends of each line."""
+    sign = np.ones((n // J, J))
+    sign[:, [0, -1]] = -1.0
+    return sign.ravel()
 
 
 def require_finite(b: np.ndarray) -> None:
@@ -315,9 +354,9 @@ class ResolventSolver:
     factor is read through SuperLU's transposed solve only: a forward solver
     factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the CSR arrays of
     the halves, and an adjoint one factors D+U and S R (D+L) R from the CSC.
-    When the lower half is the upper one bit for bit (`_mirrors`), one
-    incomplete LU serves both sweeps of a forward solver, and an adjoint one
-    folds (below); `factors` lists the computed ones.
+    When R P M P^T R = S P M P^T bit for bit (`_mirrors`), the lower half is
+    the upper one, and one incomplete LU serves both sweeps of a solver that
+    does not fold (below); `factors` lists the computed ones.
 
     GMRES runs on the y-line matrix `Ay` with the reversal R and the signs
     S folded in: S R P M P^T forward and P M^T P^T R S adjoint, one the
@@ -330,24 +369,34 @@ class ResolventSolver:
     (`to_yline`, `to_natural`). `A` rebuilds the natural-order matrix, M or
     M^T, on each access; the solver keeps only `Ay`.
 
-    A mirrored adjoint solver is `folded`: with R M R = S M, a b = R b has
-    the solution w = S R w, so in y-line order only the first
-    n_f = (n+1)/2 unknowns are free (`GridSpec.yline_fold`). `Ay` is then
-    the n_f x n_f matrix of the top n_f rows of P M^T P^T, each column
-    p >= n_f folded onto column n-1-p with the sign S. It keeps every entry
-    apart, so a folded entry may share its column with another and `A` can
-    unfold it. `precond` is the symmetric Gauss-Seidel sweep
+    A mirrored solver is `folded` when `fold` asks for it, which it does by
+    default for an adjoint solver and not for a forward one: only the caller
+    knows that its right-hand sides are symmetric. With R M R = S M, an
+    adjoint b = R b has the solution w = S R w, and a forward b = S R b has
+    v = R v, so in y-line order only the first n_f = (n+1)/2 unknowns are
+    free (`GridSpec.yline_fold`). `Ay` is then the n_f x n_f matrix of the
+    top n_f rows of P M^T P^T, each column p >= n_f folded onto column
+    n-1-p with the sign S, or forward of P M P^T with sign 1. It keeps every
+    entry apart, so a folded entry may share its column with another and
+    `A` can unfold it. `precond` is the symmetric Gauss-Seidel sweep
     (D+U)^-1 D (D+L)^-1 of the folded matrix's own line split, whose halves
-    do not mirror each other, so both are factored: (D+L)^T, and
-    R (D+U)^T R, which is block upper like it, SuperLU's faster layout, and
-    costs one reversal of each result. GMRES and the final check measure
-    the residual by `_folded_norm`, the norm of the full residual, and a
-    b != R b raises DegenerateInput.
+    do not mirror each other, so both are factored, each in the layout
+    whose incomplete LU is smaller and faster (`_factor_folded`). GMRES and
+    the final check measure the residual by `_folded_norm`, the norm of the
+    full residual, and a right-hand side without the symmetry raises
+    DegenerateInput (`to_yline`).
     """
 
-    def __init__(self, sys: SparseSystem, cfg: SolverConfig | None = None, adjoint: bool = False):
+    def __init__(
+        self,
+        sys: SparseSystem,
+        cfg: SolverConfig | None = None,
+        adjoint: bool = False,
+        fold: bool | None = None,
+    ):
         self.cfg = cfg if cfg is not None else SolverConfig()
         self.adjoint = adjoint
+        self.spec = sys.spec
         self.n = n = sys.n
         J = sys.spec.J
         # P A P^T, (P v)[p] = v[perm[p]], from the rows of A in perm order with
@@ -362,41 +411,44 @@ class ResolventSolver:
         del inv, rows, yline
         # the row and column of each stored entry, in stored order
         coo = Ap.tocoo(copy=False)
-        side = coo.col // J - coo.row // J
         # S = -1 on the Neumann rows, j in {0, J-1} of each line; S R = R S
         j = coo.row % J
         flip = (j == 0) | (j == J - 1)
-        del coo, j
-        # read as CSC: D+U and S R (D+L) R adjoint, their transposes forward
-        upper_half = sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape)
-        lower_half = sp.csc_matrix(
-            _cut(Ap, side <= 0, major=True, minor=True, negate=flip), shape=Ap.shape
-        )
-        mirrored = _mirrors(lower_half, upper_half)
-        self.folded = adjoint and mirrored
+        del j
+        mirrored = _mirrors(Ap, flip)
+        self.folded = mirrored and (adjoint if fold is None else fold)
         self._norm = _folded_norm if self.folded else _norm
         if self.folded:
-            del lower_half, upper_half, side, flip
+            del coo, flip
+            # w = S R w adjoint, v = R v forward
             self._source, sign = sys.spec.yline_fold()
+            if not adjoint:
+                sign = np.ones(n)
             self.Ay, self._folded_at = _fold(Ap, self._source, sign)
             del Ap  # before the factors, whose workspace would sit on top of it
             self._factor_folded(J)
-            # the first n_f entries of P b in; w = P^T (sign * z[source]) out
+            # the first n_f entries of P b in; P^T (sign * z[source]) out
             free = self.Ay.shape[0]
             self._rows, self._cols = (perm[:free], np.ones(free)), (perm, sign)
             return
-        # a half is dropped once it is factored or found mirrored, so
-        # SuperLU's workspace never sits on top of both
+        side = coo.col // J - coo.row // J
+        del coo
+        # read as CSC: D+U and S R (D+L) R adjoint, their transposes forward;
+        # a mirrored lower half is the upper one, and each half is cut only
+        # once the one before it is factored, so SuperLU's workspace never
+        # sits on top of both
         if mirrored:
-            del lower_half
-            upper = lower = _ilu(upper_half, self.cfg)
+            upper = lower = _ilu(sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape), self.cfg)
             self.factors = (upper,)
         else:
-            lower = _ilu(lower_half, self.cfg)
-            del lower_half
-            upper = _ilu(upper_half, self.cfg)
+            lower = _ilu(
+                sp.csc_matrix(
+                    _cut(Ap, side <= 0, major=True, minor=True, negate=flip), shape=Ap.shape
+                ),
+                self.cfg,
+            )
+            upper = _ilu(sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape), self.cfg)
             self.factors = (lower, upper)
-        del upper_half
         # read as CSR: D R and S R P M P^T forward, their transposes adjoint;
         # built after the factors, once SuperLU's workspace is freed
         diag = sp.csr_matrix(_cut(Ap, side == 0, major=adjoint, minor=not adjoint), shape=Ap.shape)
@@ -408,42 +460,64 @@ class ResolventSolver:
         self.precond = _sgs(upper, diag, lower) if adjoint else _sgs(lower, diag, upper)
         # (Q v)[p] = s[p] v[q[p]] for Q = (q, s): P is (perm, 1) and S R P is
         # (reversed perm, S); Ay = Q_rows (M or M^T) Q_cols^T
-        sign = np.ones((n // J, J))
-        sign[:, [0, -1]] = -1.0
-        flipped, plain = (perm[::-1].copy(), sign.ravel()), (perm, np.ones(n))
+        flipped, plain = (perm[::-1].copy(), _neumann_sign(n, J)), (perm, np.ones(n))
         self._rows, self._cols = (plain, flipped) if adjoint else (flipped, plain)
 
     def _factor_folded(self, J: int) -> None:
         """The factors and the preconditioner of the folded `Ay` (`_fold`),
-        split into lines of J."""
+        split into lines of J.
+
+        Both directions factor the two halves of the folded matrix's own
+        split, each read through SuperLU's transposed solve, and lay each
+        half out in the orientation whose incomplete LU is smaller and
+        faster, which differs by direction: adjoint (D+L)^T and
+        R (D+U)^T R, with R D stored and the sweep's result reversed;
+        forward R (D+L)^T R and (D+U)^T, with D R stored and its input
+        reversed. On the forward fold at 33^3, lam 1e-2, the other layout
+        took 37 and 38 ms per half against 13 and 13 ms, with 236k and 207k
+        nonzeros against 204k and 189k (one BLAS thread, best of 5).
+        """
         lines = np.arange(self.Ay.shape[0], dtype=np.int32) // J
         side = self.Ay.indices // J - np.repeat(lines, np.diff(self.Ay.indptr))
         del lines
-        # read as CSC: (D+L)^T and R (D+U)^T R of the folded matrix's own
-        # split, both block upper, and R D
-        lower = _ilu(sp.csc_matrix(_cut(self.Ay, side <= 0), shape=self.Ay.shape), self.cfg)
+        # read as CSC: (D+L)^T and (D+U)^T, the lower one reversed on both
+        # axes forward and the upper one adjoint
+        forward = not self.adjoint
+        lower = _ilu(
+            sp.csc_matrix(
+                _cut(self.Ay, side <= 0, major=forward, minor=forward), shape=self.Ay.shape
+            ),
+            self.cfg,
+        )
         upper = _ilu(
-            sp.csc_matrix(_cut(self.Ay, side >= 0, major=True, minor=True), shape=self.Ay.shape),
+            sp.csc_matrix(
+                _cut(self.Ay, side >= 0, major=self.adjoint, minor=self.adjoint),
+                shape=self.Ay.shape,
+            ),
             self.cfg,
         )
         self.factors = (lower, upper)
-        diag = sp.csr_matrix(_cut(self.Ay, side == 0, major=True), shape=self.Ay.shape)
-        self.precond = _sgs(lower, diag, upper, reverse=True)
+        diag = sp.csr_matrix(
+            _cut(self.Ay, side == 0, major=self.adjoint, minor=forward), shape=self.Ay.shape
+        )
+        self.precond = _sgs(lower, diag, upper, reverse_in=forward, reverse_out=self.adjoint)
 
     def to_yline(self, b: np.ndarray) -> np.ndarray:
         """Q_rows b: a natural-order right-hand side in the order of `Ay`.
-        A folded solver raises DegenerateInput unless b = R b bit for bit."""
-        if self.folded and not np.array_equal(b, b[::-1]):
+        A folded solver raises DegenerateInput unless b = R b (adjoint) or
+        b = S R b (forward) bit for bit (`reflection_symmetric`)."""
+        if self.folded and not reflection_symmetric(b, self.spec, 1.0 if self.adjoint else -1.0):
+            direction, symmetry = ("adjoint", "R b") if self.adjoint else ("forward", "S R b")
             raise DegenerateInput(
-                "a folded adjoint solver needs a right-hand side symmetric under "
-                "the point reflection"
+                f"a folded {direction} solver needs a right-hand side b = {symmetry}, "
+                "symmetric under the point reflection"
             )
         index, sign = self._rows
         return sign * b[index]
 
     def to_natural(self, z: np.ndarray) -> np.ndarray:
         """Q_cols^T z: a solution of `Ay` in natural order, unfolded to
-        w = S R w when the solver is folded."""
+        w = S R w (adjoint) or v = R v (forward) when the solver is folded."""
         index, sign = self._cols
         if self.folded:
             z = z[self._source]
@@ -461,16 +535,17 @@ class ResolventSolver:
         if not self.folded:
             data = row_sign[coo.row] * col_sign[coo.col] * coo.data
             return sp.csr_matrix((data, (rows[coo.row], cols[coo.col])), shape=coo.shape)
-        # unfold the columns into the top n_f rows of P M^T P^T, then add
-        # every row but the center's mirror: R (P M^T P^T) R = P M^T P^T S
+        # unfold the columns into the top n_f rows of the y-line matrix, then
+        # add every row but the center's mirror: R (P M P^T) R = S P M P^T,
+        # so R (P M^T P^T) R = P M^T P^T S
         n, at = self.n, self._folded_at
         row, col, data = coo.row, coo.col.copy(), coo.data.copy()
         col[at] = n - 1 - col[at]
         data[at] *= col_sign[col[at]]
-        neumann = col_sign * col_sign[::-1]
         low = row < self.Ay.shape[0] - 1
+        neumann = _neumann_sign(n, self.spec.J)[col[low] if self.adjoint else row[low]]
         row = np.concatenate([row, n - 1 - row[low]])
-        data = np.concatenate([data, neumann[col[low]] * data[low]])
+        data = np.concatenate([data, neumann * data[low]])
         col = np.concatenate([col, n - 1 - col[low]])
         return sp.csr_matrix((data, (cols[row], cols[col])), shape=(n, n))
 
@@ -480,9 +555,9 @@ class ResolventSolver:
 
         Deterministic: no randomized components, fixed reduction order.
         Raises NonFiniteState for a NaN or infinite right-hand side, a
-        folded solver DegenerateInput for a b != R b, both before GMRES, and
-        NoConvergence when the recomputed true residual, taken on `Ay`, is
-        above the target or not finite.
+        folded solver DegenerateInput for a b without the symmetry of its
+        direction, both before GMRES, and NoConvergence when the recomputed
+        true residual, taken on `Ay`, is above the target or not finite.
         """
         cfg = self.cfg
         require_finite(b)

@@ -316,18 +316,30 @@ def test_transposed_solver_preconditions_with_the_transpose():
     assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
 
 
-def _dense_fold(matrix, I, J, K):
+def _dense_fold(matrix, I, J, K, adjoint=True):
     """The top n_f = (n+1)/2 rows of P M^T P^T from a dense M^T, each column
-    q >= n_f added onto column n-1-q with the Neumann sign of q."""
+    q >= n_f added onto column n-1-q with the Neumann sign of q; forward
+    the top rows of P M P^T, each column added with sign 1."""
     n = I * J * K
     free = (n + 1) // 2
     perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
-    top = matrix.to_csr().toarray().T[np.ix_(perm[:free], perm)]
-    sign = np.where(np.isin(np.arange(n) % J, (0, J - 1)), -1.0, 1.0)
+    dense = matrix.to_csr().toarray()
+    top = (dense.T if adjoint else dense)[np.ix_(perm[:free], perm)]
+    sign = np.where(np.isin(np.arange(n) % J, (0, J - 1)) & adjoint, -1.0, 1.0)
     folded = top[:, :free].copy()
     for q in range(free, n):
         folded[:, n - 1 - q] += sign[q] * top[:, q]
     return folded
+
+
+def _dense_folded_sgs(folded, J):
+    """(D+U)^-1 D (D+L)^-1 from the dense line blocks of a folded matrix,
+    whose last line, the center line's free half, is a block of its own."""
+    line = np.arange(folded.shape[0]) // J
+    lower = np.where(line[None, :] <= line[:, None], folded, 0.0)
+    diag = np.where(line[None, :] == line[:, None], folded, 0.0)
+    upper = np.where(line[None, :] >= line[:, None], folded, 0.0)
+    return np.linalg.inv(upper) @ diag @ np.linalg.inv(lower)
 
 
 def test_folded_solver_preconditions_with_the_folded_sweeps():
@@ -341,11 +353,7 @@ def test_folded_solver_preconditions_with_the_folded_sweeps():
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K)
     assert np.array_equal(solver.Ay.toarray(), folded)
-    line = np.arange(folded.shape[0]) // J
-    lower = np.where(line[None, :] <= line[:, None], folded, 0.0)
-    diag = np.where(line[None, :] == line[:, None], folded, 0.0)
-    upper = np.where(line[None, :] >= line[:, None], folded, 0.0)
-    expected = np.linalg.inv(upper) @ diag @ np.linalg.inv(lower)
+    expected = _dense_folded_sgs(folded, J)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray().T)
@@ -401,6 +409,92 @@ def test_folded_weights_match_the_unfolded_solve(shape, model, monkeypatch):
         b[node], b[n - 1 - node] = 1.0, mirrored
         with pytest.raises(DegenerateInput, match="point reflection"):
             solver.solve(b)
+
+
+def test_folded_forward_solver_preconditions_with_the_folded_sweeps():
+    """A forward solver told that its right-hand sides are b = S R b
+    iterates on the top n_f rows of P M P^T with each column q >= n_f added
+    onto n-1-q, and at drop_tol = 0 its preconditioner is the symmetric
+    block Gauss-Seidel sweep of that folded matrix's own line split."""
+    I, J, K = 5, 7, 5
+    grid, matrix = _band_system(I, J, K)
+    solver = ResolventSolver(matrix, SolverConfig(drop_tol=0.0), fold=True)
+    assert solver.folded
+    folded = _dense_fold(matrix, I, J, K, adjoint=False)
+    assert np.array_equal(solver.Ay.toarray(), folded)
+    expected = _dense_folded_sgs(folded, J)
+    got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray())
+
+
+@pytest.mark.parametrize("model", [MODEL, ALTERED], ids=["default", "altered"])
+@pytest.mark.parametrize("shape", [(9, 9, 9), (17, 17, 17), (5, 7, 3), (7, 3, 5)], ids=str)
+def test_folded_field_matches_the_unfolded_solve(shape, model, monkeypatch):
+    """A forward solver built with `fold` for a band right-hand side, which
+    is b = S R b, factors two halves of n_f = (n+1)/2 unknowns, solves by
+    transposed triangular solves only, and unfolds v = R v bit for bit. v
+    agrees with the full system's solve as far as the two residuals allow,
+    ||v - v_u||_1 <= ||M^-1||_1 (||r||_1 + ||r_u||_1), with the norm of the
+    inverse from onenormest; it meets rel_tol on the full M, which `A`
+    rebuilds exactly. A crossing level a1 = 0.5 and a b = R b with a
+    nonzero Neumann row raise before GMRES."""
+    lam = 1e-3
+    grid = build_grid(GridSpec(b=model.b, lam=lam, I=shape[0], J=shape[1], K=shape[2]))
+    matrix = assemble_matrix(grid, model, lam)
+    n, free = matrix.n, (matrix.n + 1) // 2
+    b = assemble_rhs(grid, plastic_band(0.5), lam)
+    calls, modes = [], []
+    real_ilu = solver_module._ilu
+
+    class Spy:
+        def __init__(self, factor):
+            self.factor, self.nnz = factor, factor.nnz
+
+        def solve(self, rhs, *args, **kwargs):
+            modes.append((args, kwargs))
+            return self.factor.solve(rhs, *args, **kwargs)
+
+    def counted(half, cfg):
+        calls.append(half.shape)
+        return Spy(real_ilu(half, cfg))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_ilu", counted)
+        solver = ResolventSolver(matrix, fold=True)
+        rep = solver.solve(b)
+    assert solver.folded and solver.Ay.shape == (free, free)
+    assert calls == [(free, free)] * 2
+    assert modes and all(mode == ((), {"trans": "T"}) for mode in modes)
+    v3 = grid.spec.field(rep.v)
+    assert np.array_equal(v3, v3[::-1, ::-1, ::-1])
+
+    unfolded = ResolventSolver(matrix)
+    assert not unfolded.folded
+    v_u = unfolded.solve(b).v
+    M = matrix.to_csr()
+    assert (solver.A != M).nnz == 0
+    lu = spla.splu(M.tocsc())
+    inverse = spla.LinearOperator(
+        M.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T")
+    )
+    residuals = np.abs(b - M @ rep.v).sum() + np.abs(b - M @ v_u).sum()
+    assert np.abs(rep.v - v_u).sum() <= spla.onenormest(inverse) * residuals
+    assert np.linalg.norm(b - solver.A @ rep.v) <= solver.cfg.rel_tol * np.linalg.norm(b)
+
+    def never(*args, **kwargs):
+        raise AssertionError("GMRES ran on an asymmetric right-hand side")
+
+    monkeypatch.setattr(solver_module, "_gmres", never)
+    crossing = assemble_rhs(grid, mollified_crossing_speed(0.5, 1.0), lam)
+    # |y| vanishes on the one interior y row of J = 3
+    crossing[grid.spec.index(1, 1, 0)] += 1.0
+    neumann = np.zeros(n)
+    node = grid.spec.index(1, 0, 0)
+    neumann[node] = neumann[n - 1 - node] = 1.0
+    for asymmetric in (crossing, neumann):
+        with pytest.raises(DegenerateInput, match="point reflection"):
+            solver.solve(asymmetric)
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-3])
