@@ -120,7 +120,6 @@ _SCHEMA = {
     "solver.rel_tol":            ("solver", "rel_tol", float),
     "solver.max_iters":          ("solver", "max_iters", int),
     "solver.restart":            ("solver", "restart", int),
-    "solver.drop_tol":           ("solver", "drop_tol", float),
     "solver.polish_factor":      ("solver", "polish_factor", float),
     "sim.dt":                    ("sim", "dt", float),
     "sim.n_steps":               ("sim", "n_steps", int),

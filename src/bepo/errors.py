@@ -41,7 +41,7 @@ class NoConvergence(BepoError):
 
 
 class PreconditionerBreakdown(BepoError):
-    """Incomplete factorization of a preconditioner half hit a zero pivot."""
+    """A line factor of the preconditioner met a zero or non-finite pivot."""
 
 
 class ShapeMismatch(BepoError):

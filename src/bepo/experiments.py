@@ -94,12 +94,11 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     the unknowns. The assembled matrix is dropped once the solver holds its
     y-line copy. Returns the report, the grid, the right-hand sides and the
     manifest's `stages` record: seconds of assembly (matrix and right-hand
-    sides), of the y-line split and the incomplete LUs, and of the Krylov
-    solve, plus the number of incomplete LUs computed (2 for a folded
-    solver or an unmirrored one, 1 when the two sweeps share one), their
-    stored nonzeros, a shared factor counted once, and the number of
-    unknowns GMRES ran on (n_f = (n+1)/2 when the solver folds, n
-    otherwise).
+    sides), of the y-line split and the line factorization, and of the
+    Krylov solve, plus the number of line factorizations (1), their stored
+    entries, the level steps of one preconditioner application, and the
+    number of unknowns GMRES ran on (n_f = (n+1)/2 when the solver folds,
+    n otherwise).
     """
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
@@ -137,8 +136,9 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
         "assemble_s": (assembled - start) + (ready - factored),
         "factor_s": factored - assembled,
         "solve_s": time.perf_counter() - ready,
-        "factors": len(solver.factors),
-        "factor_nnz": sum(factor.nnz for factor in solver.factors),
+        "factors": 1,
+        "factor_nnz": solver.factor_nnz,
+        "levels": solver.levels,
         "unknowns": solver.Ay.shape[0],
     }
     return report, grid, rhs, stages

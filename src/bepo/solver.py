@@ -2,24 +2,27 @@
 
 Restarted GMRES, preconditioned on the left by a symmetric block
 Gauss-Seidel sweep over y-lines. In the order of `GridSpec.yline_order`,
-where each line of J nodes along y is contiguous, the matrix splits into
-line blocks D + L + U, and the preconditioner applies (D+U)^-1 D (D+L)^-1
-with block-triangular halves factored by a threshold incomplete LU, each
-read through SuperLU's transposed solve (`_sgs`). The lower half enters as
-S R (D+L) R, with R the index reversal and S = -1 on the Neumann rows. R is
-the point reflection (x, y, z) -> (-x, -y, -z), under which the oscillator
-is odd unless its force has a constant term, and then S R (D+L) R = D+U bit
-for bit; the one incomplete LU then serves both sweeps of a forward solve.
-R and S are folded into the y-line matrix that GMRES iterates on
-(`ResolventSolver`), so a preconditioner application makes no gather.
+where each line of J nodes along y is contiguous, the matrix GMRES runs on
+splits into line blocks D + L + U, and the preconditioner applies
+(D+U)^-1 D (D+L)^-1 exactly (`_line_sweeps`). Each line block is
+pentadiagonal: the y diffusion and the second-order y upwind reach two
+nodes. The x and z stencils couple a line only to the lines at most two
+steps away along i or k, so the lines fall into levels of lines that do
+not couple, and each half runs level by level: one product with the
+level's couplings to the levels already solved, then two banded
+triangular solves (BLAS `dtbsv`) with the no-pivot LU of the level's line
+blocks. That LU is the one factorization a solver makes, and it serves
+both sweeps.
 
-The same symmetry halves a solve whose right-hand side has it: an adjoint
+R, the index reversal of the y-line order, is the point reflection
+(x, y, z) -> (-x, -y, -z), under which the oscillator is odd unless its
+force has a constant term; then R M R = S M, with S = -1 on the Neumann
+rows. The symmetry halves a solve whose right-hand side has it: an adjoint
 one, whose b = R b gives w = S R w, and a forward one built with `fold`,
 whose b = S R b gives v = R v. A band observable, the constant one and a
 crossing at level 0 are b = S R b. Either solution is fixed by its first
 (n+1)/2 unknowns in y-line order, so the solver folds the system onto
-them and factors the two halves of the folded matrix, each of half the
-size, in place of the one shared factor.
+them, and the sweep is that of the folded matrix's own line split.
 
 The line blocks hold the stiff y diffusion and the beta drift; the x and
 z advection speeds depend on y only, so each half's upwind x/z transport
@@ -48,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
+from scipy.linalg.blas import dtbsv
 
 from .assembly import SparseSystem
 from .errors import DegenerateInput, NoConvergence, NonFiniteState, PreconditionerBreakdown
@@ -70,7 +74,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration and preconditioner knobs.
+    """Iteration knobs; the preconditioner has none.
 
     rel_tol       : target on ||M v - g|| / ||g|| (true residual)
     max_iters     : GMRES restart cycles
@@ -78,14 +82,10 @@ class SolverConfig:
                     The memory knob: a cycle touches one basis vector of
                     the unknowns per Arnoldi step, at most restart + 1. At
                     129^3 the 35 vectors of an unfolded adjoint solve, 2.15M
-                    doubles each, take about 600 MB, against about 380 MB
-                    for the factor's 31.7M nonzeros (estimated from sizes);
-                    a folded solve's vectors are half as long
-    drop_tol      : threshold below which the incomplete LU of a
-                    block-triangular half drops an entry: of D+U, and of
-                    S R (D+L) R when it is not D+U itself (y-line order),
-                    each transposed for a forward solver, or of the two
-                    halves of a folded system; 0 factors exactly
+                    doubles each, take about 600 MB, against about 100 MB
+                    for the line factors, six band rows per unknown; a
+                    folded solve's vectors and factors are half as long
+                    (6.47M stored entries, 52 MB, measured)
     polish_factor : GMRES stops at rel_tol * polish_factor; only a residual
                     above rel_tol itself raises NoConvergence. Values below
                     1 buy digits that no statistic needs, and can stall GMRES
@@ -95,7 +95,6 @@ class SolverConfig:
     rel_tol: float = 1e-10
     max_iters: int = 200
     restart: int = 60
-    drop_tol: float = 1e-3
     polish_factor: float = 1.0
 
     def __post_init__(self):
@@ -105,8 +104,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restart < 1:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
-        if not 0.0 <= self.drop_tol <= 1.0:
-            raise ValueError(f"drop_tol must be in [0, 1], got {self.drop_tol}")
         if not 0.0 < self.polish_factor <= 1.0:
             raise ValueError(
                 f"polish_factor must be in (0, 1], got {self.polish_factor}"
@@ -122,100 +119,221 @@ class SolveReport:
     iterations: int
 
 
-def _cut(M, keep=None, major=False, minor=False, negate=None):
-    """The compressed arrays (data, indices, indptr) of M's entries where keep
-    is true (all of them for None), M in CSR or CSC; with `negate`, the
-    entries where it is true change sign.
-
-    With `major` the compressed axis is reversed, with `minor` the other
-    one, R the index reversal, (R v)[p] = v[n-1-p]: of a CSR M they give
-    R M and M R, of a CSC M, M R and R M, and both give R M R. Read in the
-    other format, the arrays are those of the transpose. Reversing the
-    compressed axis reverses the data, the indices and the pointers, so
-    M's sorted order survives no reversal or both.
-    """
-    data, indices, ptr = M.data, M.indices, M.indptr
-    if keep is not None:
-        data, indices = data[keep], indices[keep]
-        negate = None if negate is None else negate[keep]
-        kept = np.zeros(keep.size + 1, dtype=np.int32)
-        np.cumsum(keep, out=kept[1:])
-        ptr = kept[ptr]
-    if major:
-        data, indices, ptr = data[::-1], indices[::-1], ptr[-1] - ptr[::-1]
-        negate = None if negate is None else negate[::-1]
-    if minor:
-        indices = M.shape[0] - 1 - indices
-    if negate is not None:
-        data = np.array(data)  # never M's own array
-        np.negative(data, out=data, where=negate)
-    # sparsetools copies a reversed view on every product
-    return np.ascontiguousarray(data), np.ascontiguousarray(indices), ptr
-
-
-def _mirrors(Ap, flip) -> bool:
-    """Whether R Ap R = S Ap bit for bit, for the y-line matrix Ap in CSR or
-    CSC and `flip` true on its stored entries in Neumann rows.
+def _mirrors(M, flip) -> bool:
+    """Whether R M R = S M bit for bit, for the natural-order matrix M in
+    canonical CSR and `flip` true on its stored entries in Neumann rows.
 
     The assembly keeps R M R = S M with S = -1 on the Neumann rows whenever
     the oscillator is odd under the point reflection R (force.const = 0).
-    R maps the lines below a line onto those above it, so then
-    S R (D+L) R = D+U, and a right-hand side with the symmetry gives a
-    solution with it. Reversing both axes keeps Ap's sorted order, so the
-    pointers, indices and signed data of R Ap R are compared with Ap's one
-    array at a time, without building R Ap R. The check reads the matrix,
-    not the model, so a matrix that does not fit is neither folded nor
-    shares its factor.
+    Then a right-hand side with the symmetry gives a solution with it. R
+    reverses the natural order, as it does the y-line order, and reversing
+    both axes keeps M's sorted order, so the pointers, indices and signed
+    data of R M R are compared with M's one array at a time, without
+    building R M R. The check reads the matrix, not the model, so a matrix
+    that does not fit is not folded.
     """
-    n, ptr = Ap.shape[0], Ap.indptr
+    n, ptr = M.shape[0], M.indptr
     return (
         np.array_equal(ptr[-1] - ptr[::-1], ptr)
-        and np.array_equal(n - 1 - Ap.indices[::-1], Ap.indices)
-        and np.array_equal(np.where(flip[::-1], -Ap.data[::-1], Ap.data[::-1]), Ap.data)
+        and np.array_equal(n - 1 - M.indices[::-1], M.indices)
+        and np.array_equal(np.where(flip[::-1], -M.data[::-1], M.data[::-1]), M.data)
     )
 
 
-def _ilu(half: sp.csc_matrix, cfg: SolverConfig):
-    """Threshold incomplete LU of one half, in its own order.
+def _levels(lo: np.ndarray, hi: np.ndarray, n_lines: int) -> np.ndarray:
+    """The level of each of n_lines lines, given the coupled pairs lo < hi:
+    0 for a line coupled to no line before it, else one more than the
+    highest level of those. Coupled lines never share a level, and each
+    line's level exceeds that of every line before it that it couples to,
+    so the lower sweep runs the levels up and the upper one down."""
+    key = np.sort(hi.astype(np.int64) * n_lines + lo)
+    key = key[np.diff(key, prepend=-1) != 0]
+    ptr = np.searchsorted(key // n_lines, np.arange(n_lines + 1)).tolist()
+    before = (key % n_lines).tolist()
+    level = [0] * n_lines
+    for line in range(n_lines):
+        if ptr[line] < ptr[line + 1]:
+            level[line] = 1 + max(level[m] for m in before[ptr[line] : ptr[line + 1]])
+    return np.array(level)
 
-    No pivoting and the plain threshold rule: SuperLU's default area rule
-    (`basic,area`) stalls GMRES on long y-lines. Panels of one column and
-    no supernode relaxation: the default panels of 10 columns need a
-    workspace larger than the factor itself, and relaxed supernodes store
-    padding zeros that every triangular solve then reads.
+
+def _band_lu(band: np.ndarray) -> np.ndarray:
+    """The no-pivot LU of pentadiagonal blocks, all at once: band[d + 2, j]
+    holds entry (j, j+d) of each block, shape (5, J, lines). Returns
+    (l2, l1, u0, u1, u2) of the same shape, the unit lower factor's entries
+    (j, j-2) and (j, j-1) and the upper one's (j, j), (j, j+1) and (j, j+2),
+    in J steps across the blocks. A zero pivot gives inf or NaN, not a
+    warning; the caller checks the factors."""
+    lu = np.zeros_like(band)
+    l2, l1, u0, u1, u2 = lu
+    u2[:] = band[4]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(band.shape[1]):
+            a = band[:, j]
+            if j >= 2:
+                l2[j] = a[0] / u0[j - 2]
+                l1[j] = (a[1] - l2[j] * u1[j - 2]) / u0[j - 1]
+                u0[j] = a[2] - l1[j] * u1[j - 1] - l2[j] * u2[j - 2]
+            elif j == 1:
+                l1[j] = a[1] / u0[0]
+                u0[j] = a[2] - l1[j] * u1[0]
+            else:
+                u0[j] = a[2]
+            u1[j] = a[3] - (l1[j] * u2[j - 1] if j else 0.0)
+    return lu
+
+
+def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
+    """The symmetric block Gauss-Seidel sweep z = (D+U)^-1 D (D+L)^-1 r of
+    Ay's split into y-lines of J unknowns, D + L + U, as a closure; with the
+    number of stored line-factor entries and the level steps per
+    application.
+
+    Line p // J of Ay is y-line (i, k) with i K + k = p // J; a folded Ay's
+    last line is the center line's free half. The lines are grouped into
+    levels (`_levels`) and the unknowns reordered level by level, each line
+    contiguous, so a level's D is banded over one slice. One no-pivot LU of
+    the line blocks (`_band_lu`) serves both sweeps. A level step of the
+    lower sweep (D+L) z = r is one product with the level's couplings to
+    the levels before it, then two BLAS `dtbsv` on the slice. The upper
+    sweep (D+U) x = D z needs no product with D: it is x = z - D^-1 U x,
+    run back down the levels that couple to a later one. A line whose
+    block reaches beyond bandwidth 2 is the identity in the band and is
+    inverted densely: the fold makes two, the lines next to the center
+    line whose x or z stencil reaches across the center and folds back
+    onto themselves, j -> J-1-j. A zero or non-finite pivot raises
+    PreconditionerBreakdown, naming the line. The closure holds no
+    reference back to the solver, so a spent solver is freed by
+    refcounting.
     """
-    try:
-        return spla.spilu(
-            half,
-            drop_tol=cfg.drop_tol,
-            drop_rule="basic",
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            panel_size=1,
-            relax=1,
+    N, J = Ay.shape[0], spec.J
+    n_lines = -(-N // J)
+    row = np.repeat(np.arange(N, dtype=np.int32), np.diff(Ay.indptr))
+    col, data = Ay.indices, Ay.data
+    rline = row // J
+    # the line of each entry's column against its row's: < 0 in L, > 0 in U
+    side = col // J - rline
+    inline = side == 0
+    r, c, d = row[inline], col[inline], data[inline]
+    offset = c - r
+    wide = np.unique(r[np.abs(offset) > 2] // J)
+    first, second = rline[~inline], rline[~inline] + side[~inline]
+    level = _levels(np.minimum(first, second), np.maximum(first, second), n_lines)
+    del first, second
+    # the unknowns level by level, each line in j order; only the last line
+    # can be shorter than J
+    by_level = np.argsort(level, kind="stable")
+    order = (by_level[:, None] * J + np.arange(J, dtype=np.int32)).ravel()
+    order = order[order < N]
+    pos = np.empty(N, dtype=np.int32)
+    pos[order] = np.arange(N, dtype=np.int32)
+    lengths = np.full(n_lines, J)
+    lengths[-1] = N - (n_lines - 1) * J
+    bounds = np.concatenate([[0], np.cumsum(lengths[by_level])])
+    bounds = bounds[np.concatenate([[0], np.cumsum(np.bincount(level))])].tolist()
+
+    # D's band, in the (J, lines) layout of `_band_lu`, identity on padding
+    # and on the wide lines; a folded Ay keeps entries apart, so they are summed
+    keep = np.abs(offset) <= 2
+    at = ((offset[keep] + 2) * J + r[keep] % J) * n_lines + r[keep] // J
+    band = np.bincount(at, weights=d[keep], minlength=5 * J * n_lines).reshape(5, J, n_lines)
+    del keep, at
+    band[2, lengths[-1] :, -1] = 1.0
+    band[:, :, wide] = 0.0
+    band[2, :, wide] = 1.0
+    lu = _band_lu(band)
+    del band
+    bad = ~np.isfinite(lu).all(axis=0) | (lu[2] == 0.0)
+    if bad.any():
+        line, j = np.argwhere(bad.T)[0]
+        _breakdown(line, spec, f"at j = {j}")
+    # to level order: the lower factor's band holds (j+1, j) and (j+2, j) in
+    # rows 1 and 2 of column j, the upper one's (j-2, j), (j-1, j) and (j, j)
+    # in rows 0-2
+    l2, l1, u0, u1, u2 = lu.transpose(0, 2, 1).reshape(5, -1)[:, order]
+    lower = np.zeros((3, N), order="F")
+    upper = np.zeros((3, N), order="F")
+    lower[0] = 1.0
+    lower[1, :-1], lower[2, :-2] = l1[1:], l2[2:]
+    upper[0, 2:], upper[1, 1:], upper[2] = u2[:-2], u1[:-1], u0
+    del lu, l2, l1, u0, u1, u2
+    dense = {}
+    for line in wide.tolist():
+        at = r // J == line
+        block = np.zeros((lengths[line], lengths[line]))
+        np.add.at(block, (r[at] % J, c[at] % J), d[at])
+        factor, piv, info = lapack.dgetrf(block)
+        if info != 0 or not np.isfinite(factor).all():
+            _breakdown(line, spec, "in its dense LU")
+        start = int(pos[line * J])
+        dense.setdefault(int(level[line]), []).append(
+            (start, start + lengths[line], lapack.dgetri(factor, piv)[0])
         )
-    except RuntimeError as exc:
-        raise PreconditionerBreakdown(str(exc)) from exc
 
+    def couplings(mask):
+        """The entries of mask in level order, as one CSR block per level,
+        None for a level without any."""
+        kept = np.zeros(mask.size + 1, dtype=np.int32)
+        np.cumsum(mask, out=kept[1:])
+        M = sp.csr_matrix((data[mask], pos[col[mask]], kept[Ay.indptr]), shape=(N, N))[order]
+        ptr = M.indptr
+        return [
+            sp.csr_matrix(
+                (M.data[ptr[a] : ptr[b]], M.indices[ptr[a] : ptr[b]], ptr[a : b + 1] - ptr[a]),
+                shape=(b - a, N),
+            )
+            if ptr[b] > ptr[a]
+            else None
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
-def _sgs(first, diag, second, reverse_in=False, reverse_out=False):
-    """r -> second^-T diag first^-T r, each ^-T one transposed SuperLU solve;
-    with `reverse_in` the sweep takes R r, with `reverse_out` it returns R of
-    its result.
-
-    SuperLU's transposed solve gathers along the rows of the factor, where
-    its natural solve scatters down columns, and it is the faster mode on
-    the y-line factors, so every factor is of the matrix whose transpose
-    the sweep inverts. A closure over the factors only, so the
-    preconditioner holds no reference back to the solver and a spent
-    solver is freed by refcounting.
-    """
+    del row, rline, inline, r, c, d, offset
+    below, above = couplings(side < 0), couplings(side > 0)
+    del side
+    stored = lower.size + upper.size
+    stored += sum(inv.size for blocks in dense.values() for *_, inv in blocks)
+    # per level: its slice, the band factors' columns on it, its dense lines
+    # and its couplings below and above
+    steps = [
+        (a, b, lower[:, a:b], upper[:, a:b], dense.get(s, ()), L, U)
+        for s, (a, b, L, U) in enumerate(zip(bounds[:-1], bounds[1:], below, above))
+    ]
 
     def apply(r):
-        z = second.solve(diag @ first.solve(r[::-1] if reverse_in else r, trans="T"), trans="T")
-        return z[::-1].copy() if reverse_out else z
+        # (D+L) z = r level by level up; then (D+U) x = D z is
+        # x = z - D^-1 U x level by level down, in place. `*` is the matrix
+        # product of a csr_matrix, which it reaches in fewer checks than `@`;
+        # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite)
+        z = r[order]
+        for a, b, lo, up, blocks, L, _ in steps:
+            if L is not None:
+                z[a:b] -= L * z
+            dtbsv(2, lo, z, 1, a, 1, 0, 1, 1)
+            dtbsv(2, up, z, 1, a, 0, 0, 0, 1)
+            for start, stop, inv in blocks:
+                z[start:stop] = inv @ z[start:stop]
+        for a, b, lo, up, blocks, _, U in reversed(steps):
+            if U is not None:
+                c = U * z
+                dtbsv(2, lo, c, 1, 0, 1, 0, 1, 1)
+                dtbsv(2, up, c, 1, 0, 0, 0, 0, 1)
+                for start, stop, inv in blocks:
+                    c[start - a : stop - a] = inv @ c[start - a : stop - a]
+                z[a:b] -= c
+        out = np.empty(N)
+        out[order] = z
+        return out
 
-    return apply
+    return apply, stored, len(steps) + sum(U is not None for *_, U in steps)
+
+
+def _breakdown(line: int, spec: GridSpec, where: str):
+    """Raise PreconditionerBreakdown for the block of y-line number `line`."""
+    i, k = divmod(int(line), spec.K)
+    raise PreconditionerBreakdown(
+        f"the block of the y-line at (i, k) = ({i}, {k}) has a zero or non-finite "
+        f"pivot {where}; the line Gauss-Seidel preconditioner cannot be built"
+    )
 
 
 def _norm(r) -> float:
@@ -345,45 +463,33 @@ def require_finite(b: np.ndarray) -> None:
 
 
 class ResolventSolver:
-    """Factors the matrix once and solves any number of right-hand sides,
-    of M v = b, or with `adjoint` of M^T w = b.
+    """Builds the preconditioner once and solves any number of right-hand
+    sides, of M v = b, or with `adjoint` of M^T w = b.
 
-    The factorization is the dominant cost, so it is built once here and reused
-    per solve. P A P^T is formed once in `GridSpec.yline_order`, and D, D+U and
-    D+L are cut from it by the line of each entry's row and column. Every
-    factor is read through SuperLU's transposed solve only: a forward solver
-    factors (D+U)^T and (S R (D+L) R)^T, whose CSC arrays are the CSR arrays of
-    the halves, and an adjoint one factors D+U and S R (D+L) R from the CSC.
-    When R P M P^T R = S P M P^T bit for bit (`_mirrors`), the lower half is
-    the upper one, and one incomplete LU serves both sweeps of a solver that
-    does not fold (below); `factors` lists the computed ones.
+    P M P^T is formed once in `GridSpec.yline_order`. GMRES runs on the
+    y-line matrix `Ay`: P M P^T forward, and adjoint P M^T P^T, read from
+    the CSC of P M P^T. `precond` is the symmetric block Gauss-Seidel sweep
+    (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into lines of J
+    (`_line_sweeps`), solved exactly, level by level; its line factors are
+    the one factorization (`factor_nnz` stored entries, `levels` level
+    steps per application). `solve` takes and returns natural-order vectors
+    and permutes each once (`to_yline`, `to_natural`). `A` rebuilds the
+    natural-order matrix, M or M^T, on each access; the solver keeps only
+    `Ay`.
 
-    GMRES runs on the y-line matrix `Ay` with the reversal R and the signs
-    S folded in: S R P M P^T forward and P M^T P^T R S adjoint, one the
-    transpose of the other. Then the preconditioner `precond` is two
-    triangular solves and one product with the stored block diagonal, D R
-    forward and R D^T adjoint, with no gather: forward
-    (D+U)^-1 D (D+L)^-1 R S = (D+U)^-1 (D R) (S R (D+L) R)^-1, and adjoint
-    S R (D+L)^-T D^T (D+U)^-T = (S R (D+L) R)^-T (R D^T) (D+U)^-T. `solve`
-    takes and returns natural-order vectors and permutes each once
-    (`to_yline`, `to_natural`). `A` rebuilds the natural-order matrix, M or
-    M^T, on each access; the solver keeps only `Ay`.
-
-    A mirrored solver is `folded` when `fold` asks for it, which it does by
-    default for an adjoint solver and not for a forward one: only the caller
-    knows that its right-hand sides are symmetric. With R M R = S M, an
-    adjoint b = R b has the solution w = S R w, and a forward b = S R b has
-    v = R v, so in y-line order only the first n_f = (n+1)/2 unknowns are
-    free (`GridSpec.yline_fold`). `Ay` is then the n_f x n_f matrix of the
-    top n_f rows of P M^T P^T, each column p >= n_f folded onto column
-    n-1-p with the sign S, or forward of P M P^T with sign 1. It keeps every
-    entry apart, so a folded entry may share its column with another and
-    `A` can unfold it. `precond` is the symmetric Gauss-Seidel sweep
-    (D+U)^-1 D (D+L)^-1 of the folded matrix's own line split, whose halves
-    do not mirror each other, so both are factored, each in the layout
-    whose incomplete LU is smaller and faster (`_factor_folded`). GMRES and
-    the final check measure the residual by `_folded_norm`, the norm of the
-    full residual, and a right-hand side without the symmetry raises
+    When R P M P^T R = S P M P^T bit for bit (`_mirrors`), the solver is
+    `folded` when `fold` asks for it, which it does by default for an
+    adjoint solver and not for a forward one: only the caller knows that
+    its right-hand sides are symmetric. With R M R = S M, an adjoint b = R b
+    has the solution w = S R w, and a forward b = S R b has v = R v, so in
+    y-line order only the first n_f = (n+1)/2 unknowns are free
+    (`GridSpec.yline_fold`). `Ay` is then the n_f x n_f matrix of the top
+    n_f rows of P M^T P^T, each column p >= n_f folded onto column n-1-p
+    with the sign S, or forward of P M P^T with sign 1. It keeps every entry
+    apart, so a folded entry may share its column with another and `A` can
+    unfold it. Its last line is the center line's free half. GMRES and the
+    final check measure the residual by `_folded_norm`, the norm of the full
+    residual, and a right-hand side without the symmetry raises
     DegenerateInput (`to_yline`).
     """
 
@@ -400,129 +506,57 @@ class ResolventSolver:
         self.n = n = sys.n
         J = sys.spec.J
         # P A P^T, (P v)[p] = v[perm[p]], from the rows of A in perm order with
-        # renamed columns: CSC adjoint, CSR forward; row p is on line p // J
+        # renamed columns: CSC adjoint, CSR forward, so that its compressed
+        # slices are the rows of the matrix the solver inverts
+        M = sys.to_csr()
+        self.folded = adjoint if fold is None else fold
+        if self.folded:
+            # S = -1 on the Neumann rows, j in {0, J-1}
+            j = np.arange(n) // sys.spec.K % J
+            self.folded = _mirrors(M, np.repeat((j == 0) | (j == J - 1), np.diff(M.indptr)))
+            del j
         perm = sys.spec.yline_order()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(n, dtype=np.int32)
-        rows = sys.to_csr()[perm]
+        rows = M[perm]
         yline = sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=rows.shape)
         Ap = yline.tocsc() if adjoint else yline
-        Ap.sort_indices()  # a CSC comes sorted
-        del inv, rows, yline
-        # the row and column of each stored entry, in stored order
-        coo = Ap.tocoo(copy=False)
-        # S = -1 on the Neumann rows, j in {0, J-1} of each line; S R = R S
-        j = coo.row % J
-        flip = (j == 0) | (j == J - 1)
-        del j
-        mirrored = _mirrors(Ap, flip)
-        self.folded = mirrored and (adjoint if fold is None else fold)
+        del M, inv, rows, yline
         self._norm = _folded_norm if self.folded else _norm
+        sign = np.ones(n)
         if self.folded:
-            del coo, flip
             # w = S R w adjoint, v = R v forward
-            self._source, sign = sys.spec.yline_fold()
-            if not adjoint:
-                sign = np.ones(n)
+            self._source, neumann = sys.spec.yline_fold()
+            if adjoint:
+                sign = neumann
             self.Ay, self._folded_at = _fold(Ap, self._source, sign)
-            del Ap  # before the factors, whose workspace would sit on top of it
-            self._factor_folded(J)
-            # the first n_f entries of P b in; P^T (sign * z[source]) out
-            free = self.Ay.shape[0]
-            self._rows, self._cols = (perm[:free], np.ones(free)), (perm, sign)
-            return
-        side = coo.col // J - coo.row // J
-        del coo
-        # read as CSC: D+U and S R (D+L) R adjoint, their transposes forward;
-        # a mirrored lower half is the upper one, and each half is cut only
-        # once the one before it is factored, so SuperLU's workspace never
-        # sits on top of both
-        if mirrored:
-            upper = lower = _ilu(sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape), self.cfg)
-            self.factors = (upper,)
         else:
-            lower = _ilu(
-                sp.csc_matrix(
-                    _cut(Ap, side <= 0, major=True, minor=True, negate=flip), shape=Ap.shape
-                ),
-                self.cfg,
-            )
-            upper = _ilu(sp.csc_matrix(_cut(Ap, side >= 0), shape=Ap.shape), self.cfg)
-            self.factors = (lower, upper)
-        # read as CSR: D R and S R P M P^T forward, their transposes adjoint;
-        # built after the factors, once SuperLU's workspace is freed
-        diag = sp.csr_matrix(_cut(Ap, side == 0, major=adjoint, minor=not adjoint), shape=Ap.shape)
-        del side
-        self.Ay = sp.csr_matrix(
-            _cut(Ap, major=not adjoint, minor=adjoint, negate=flip), shape=Ap.shape
-        )
-        del Ap, flip
-        self.precond = _sgs(upper, diag, lower) if adjoint else _sgs(lower, diag, upper)
-        # (Q v)[p] = s[p] v[q[p]] for Q = (q, s): P is (perm, 1) and S R P is
-        # (reversed perm, S); Ay = Q_rows (M or M^T) Q_cols^T
-        flipped, plain = (perm[::-1].copy(), _neumann_sign(n, J)), (perm, np.ones(n))
-        self._rows, self._cols = (plain, flipped) if adjoint else (flipped, plain)
-
-    def _factor_folded(self, J: int) -> None:
-        """The factors and the preconditioner of the folded `Ay` (`_fold`),
-        split into lines of J.
-
-        Both directions factor the two halves of the folded matrix's own
-        split, each read through SuperLU's transposed solve, and lay each
-        half out in the orientation whose incomplete LU is smaller and
-        faster, which differs by direction: adjoint (D+L)^T and
-        R (D+U)^T R, with R D stored and the sweep's result reversed;
-        forward R (D+L)^T R and (D+U)^T, with D R stored and its input
-        reversed. On the forward fold at 33^3, lam 1e-2, the other layout
-        took 37 and 38 ms per half against 13 and 13 ms, with 236k and 207k
-        nonzeros against 204k and 189k (one BLAS thread, best of 5).
-        """
-        lines = np.arange(self.Ay.shape[0], dtype=np.int32) // J
-        side = self.Ay.indices // J - np.repeat(lines, np.diff(self.Ay.indptr))
-        del lines
-        # read as CSC: (D+L)^T and (D+U)^T, the lower one reversed on both
-        # axes forward and the upper one adjoint
-        forward = not self.adjoint
-        lower = _ilu(
-            sp.csc_matrix(
-                _cut(self.Ay, side <= 0, major=forward, minor=forward), shape=self.Ay.shape
-            ),
-            self.cfg,
-        )
-        upper = _ilu(
-            sp.csc_matrix(
-                _cut(self.Ay, side >= 0, major=self.adjoint, minor=self.adjoint),
-                shape=self.Ay.shape,
-            ),
-            self.cfg,
-        )
-        self.factors = (lower, upper)
-        diag = sp.csr_matrix(
-            _cut(self.Ay, side == 0, major=self.adjoint, minor=forward), shape=self.Ay.shape
-        )
-        self.precond = _sgs(lower, diag, upper, reverse_in=forward, reverse_out=self.adjoint)
+            self.Ay = sp.csr_matrix((Ap.data, Ap.indices, Ap.indptr), shape=Ap.shape)
+        del Ap
+        # the first rows of P b in; P^T (sign * z[source]) out
+        self._perm, self._sign = perm, sign
+        self.precond, self.factor_nnz, self.levels = _line_sweeps(self.Ay, sys.spec)
 
     def to_yline(self, b: np.ndarray) -> np.ndarray:
-        """Q_rows b: a natural-order right-hand side in the order of `Ay`.
-        A folded solver raises DegenerateInput unless b = R b (adjoint) or
-        b = S R b (forward) bit for bit (`reflection_symmetric`)."""
+        """P b, cut to the rows of `Ay`: a natural-order right-hand side in
+        the order of `Ay`. A folded solver raises DegenerateInput unless
+        b = R b (adjoint) or b = S R b (forward) bit for bit
+        (`reflection_symmetric`)."""
         if self.folded and not reflection_symmetric(b, self.spec, 1.0 if self.adjoint else -1.0):
             direction, symmetry = ("adjoint", "R b") if self.adjoint else ("forward", "S R b")
             raise DegenerateInput(
                 f"a folded {direction} solver needs a right-hand side b = {symmetry}, "
                 "symmetric under the point reflection"
             )
-        index, sign = self._rows
-        return sign * b[index]
+        return b[self._perm[: self.Ay.shape[0]]]
 
     def to_natural(self, z: np.ndarray) -> np.ndarray:
-        """Q_cols^T z: a solution of `Ay` in natural order, unfolded to
+        """P^T z: a solution of `Ay` in natural order, unfolded to
         w = S R w (adjoint) or v = R v (forward) when the solver is folded."""
-        index, sign = self._cols
         if self.folded:
-            z = z[self._source]
+            z = self._sign * z[self._source]
         v = np.empty(self.n)
-        v[index] = sign * z
+        v[self._perm] = z
         return v
 
     @property
@@ -531,23 +565,22 @@ class ResolventSolver:
         M^T, rebuilt from `Ay` on each access; a folded `Ay` is unfolded
         first, bit for bit."""
         coo = self.Ay.tocoo()
-        (rows, row_sign), (cols, col_sign) = self._rows, self._cols
+        perm = self._perm
         if not self.folded:
-            data = row_sign[coo.row] * col_sign[coo.col] * coo.data
-            return sp.csr_matrix((data, (rows[coo.row], cols[coo.col])), shape=coo.shape)
+            return sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=coo.shape)
         # unfold the columns into the top n_f rows of the y-line matrix, then
         # add every row but the center's mirror: R (P M P^T) R = S P M P^T,
         # so R (P M^T P^T) R = P M^T P^T S
         n, at = self.n, self._folded_at
         row, col, data = coo.row, coo.col.copy(), coo.data.copy()
         col[at] = n - 1 - col[at]
-        data[at] *= col_sign[col[at]]
+        data[at] *= self._sign[col[at]]
         low = row < self.Ay.shape[0] - 1
         neumann = _neumann_sign(n, self.spec.J)[col[low] if self.adjoint else row[low]]
         row = np.concatenate([row, n - 1 - row[low]])
         data = np.concatenate([data, neumann * data[low]])
         col = np.concatenate([col, n - 1 - col[low]])
-        return sp.csr_matrix((data, (cols[row], cols[col])), shape=(n, n))
+        return sp.csr_matrix((data, (perm[row], perm[col])), shape=(n, n))
 
     def solve(self, b: np.ndarray) -> SolveReport:
         """Solve M v = b (M^T v = b with `adjoint`) to

@@ -5,8 +5,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
+import bepo.solver as solver_module
 from bepo import cli, experiments
 from bepo.cli import main
 from bepo.config import _SCHEMA, RunConfig, parse_config, serialize_config
@@ -37,9 +37,11 @@ def test_empty_document_gives_paper_defaults():
 def test_unknown_key_is_an_error():
     with pytest.raises(ParseError):
         parse_config("model.mass = 2.0")
-    # a removed key is unknown too: spilu's own fill bound was never reached
-    with pytest.raises(ParseError, match="solver.fill_factor"):
-        parse_config("solver.fill_factor = 10.0")
+    # removed keys are unknown too: spilu's own fill bound was never reached,
+    # and the exact line sweeps drop no entry
+    for key in ("solver.fill_factor", "solver.drop_tol"):
+        with pytest.raises(ParseError, match=key):
+            parse_config(f"{key} = 0.001")
 
 
 def test_malformed_line():
@@ -62,12 +64,10 @@ def test_validation_error_on_even_grid():
         parse_config("grid.I = 8")
 
 
-# settings that crashed (max_iters), were accepted (drop_tol), met a
-# singular factor (lambda, x_bar) or returned a statistic of 0 (eps0) before
-# validation
+# settings that crashed (max_iters), met a singular factor (lambda, x_bar)
+# or returned a statistic of 0 (eps0) before validation
 SOLVE_PROBES = [
     "solver.max_iters = 0",
-    "solver.drop_tol = -1",
     "grid.lambda = inf",
     "grid.x_bar = inf",
     "observable.eps0 = inf",
@@ -105,12 +105,14 @@ def test_validation_error_on_nonfinite_or_negative_inputs(line):
         parse_config(line)
 
 
-@pytest.mark.parametrize("line", SOLVE_PROBES)
+# a key that was accepted once (drop_tol, of the incomplete LU the exact line
+# sweeps replaced) fails at parse time
+@pytest.mark.parametrize("line", [*SOLVE_PROBES, "solver.drop_tol = -1"])
 def test_cli_rejects_bad_solve_settings_before_factoring(tmp_path, capsys, monkeypatch, line):
     def never(*args, **kwargs):
         raise AssertionError("the factorization ran on a rejected setting")
 
-    monkeypatch.setattr(spla, "spilu", never)
+    monkeypatch.setattr(solver_module, "_line_sweeps", never)
     config = tmp_path / "run.cfg"
     config.write_text(f"grid.I = 9\ngrid.J = 9\ngrid.K = 9\ngrid.lambda = 0.01\n{line}\n")
     rc = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -125,7 +127,7 @@ def test_cli_rejects_threads_below_one_before_parsing(tmp_path, capsys, monkeypa
         raise AssertionError("the config was parsed with a rejected --threads")
 
     monkeypatch.setattr(cli, "parse_config", never)
-    monkeypatch.setattr(spla, "spilu", never)
+    monkeypatch.setattr(solver_module, "_line_sweeps", never)
     rc = main(["convergence", "--out", str(tmp_path / "o"), "--threads", threads])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --threads")
@@ -160,7 +162,7 @@ def test_cli_rejects_bad_run_settings_before_any_work(
     def never(*args, **kwargs):
         raise AssertionError("the run started on a rejected setting")
 
-    monkeypatch.setattr(spla, "spilu", never)
+    monkeypatch.setattr(solver_module, "_line_sweeps", never)
     monkeypatch.setattr(experiments, "simulate_paths", never)
     monkeypatch.setattr(experiments, "simulate_trajectory", never)
     config = tmp_path / "run.cfg"
@@ -254,7 +256,6 @@ grid.K = 33
 solver.rel_tol = 1e-10
 solver.max_iters = 200
 solver.restart = 60
-solver.drop_tol = 0.001
 solver.polish_factor = 1.0
 sim.dt = 0.001
 sim.n_steps = 100000
@@ -306,7 +307,6 @@ sim.init_z = 0.05
 sim.n_paths = 8
 sim.n_steps = 5000
 sim.seed = 17
-solver.drop_tol = 1e-4
 solver.max_iters = 500
 solver.polish_factor = 0.5
 solver.rel_tol = 1e-9
@@ -331,7 +331,6 @@ grid.K = 7
 solver.rel_tol = 1e-09
 solver.max_iters = 500
 solver.restart = 25
-solver.drop_tol = 0.0001
 solver.polish_factor = 0.5
 sim.dt = 0.002
 sim.n_steps = 5000
@@ -443,15 +442,22 @@ def test_manifests_record_stage_timings(tmp_path):
         "convergence": run_convergence,
         "cross": run_cross_validate,
     }
-    # two half-size incomplete LUs per matrix: the crossing observable at
-    # a1 = 0 is b = S R b, so the forward solves of solve and convergence
-    # fold like the adjoint ones of the sweeps and cross-validate;
-    # convergence with one refinement per axis factors 1 + 3 levels
-    factors = {"solve": 2, "sweep": 2, "band-sweep": 2, "convergence": 8, "cross": 2}
+    # one line factorization per matrix; convergence with one refinement per
+    # axis factors 1 + 3 levels and sums their records. The crossing
+    # observable at a1 = 0 is b = S R b, so the forward solves of solve and
+    # convergence fold like the adjoint ones of the sweeps and cross-validate
+    factors = {"solve": 1, "sweep": 1, "band-sweep": 1, "convergence": 4, "cross": 1}
     # GMRES runs on (n+1)/2 of the n = 9^3 unknowns; convergence sums its
     # levels, 9^3 and three of 17 x 9 x 9
     unknowns = {"solve": 365, "sweep": 365, "band-sweep": 365, "convergence": 2432, "cross": 365}
-    pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz", "unknowns"}
+    # six band rows per unknown, and on 9^3 two lines of 9 that the fold
+    # makes dense, (i, k) = (3, 4) and (4, 3)
+    factor_nnz = {"solve": 2352, "sweep": 2352, "band-sweep": 2352, "convergence": 15656,
+                  "cross": 2352}
+    # the level steps of one preconditioner application: 17 levels up and
+    # 16 down on the folded 9^3
+    levels = {"solve": 33, "sweep": 33, "band-sweep": 33, "convergence": 164, "cross": 33}
+    pde_keys = {"assemble_s", "factor_s", "solve_s", "factors", "factor_nnz", "levels", "unknowns"}
     # the sweeps and cross-validate run Monte Carlo here
     mc_keys = {"simulate_s", "path_steps_per_s", "observe_s", "noise_wait_s", "noise_draw_s"}
     for name, run in runs.items():
@@ -460,10 +466,12 @@ def test_manifests_record_stage_timings(tmp_path):
         with_mc = name in ("sweep", "band-sweep", "cross")
         assert set(stages) == pde_keys | (mc_keys if with_mc else set())
         assert all(stages[key] > 0 for key in stages)
-        for key in ("factors", "factor_nnz", "unknowns"):
+        for key in ("factors", "factor_nnz", "levels", "unknowns"):
             assert isinstance(stages[key], int)
         assert stages["factors"] == factors[name]
         assert stages["unknowns"] == unknowns[name]
+        assert stages["factor_nnz"] == factor_nnz[name]
+        assert stages["levels"] == levels[name]
         if with_mc:
             path_steps = cfg.sim.n_paths * cfg.sim.n_steps
             assert stages["path_steps_per_s"] == path_steps / stages["simulate_s"]
@@ -904,7 +912,7 @@ _PIN_MC = "sim.n_steps = 600\nsim.n_paths = 4\nsim.dt = 0.02\nobservable.eps0 = 
 CLI_SUMMARIES = {
     "solve": (
         _PIN_GRID + "observable.kind = band\nobservable.a2 = 1.0\n",
-        ["statistic=0.62342569 spread=0.0524 residual=2.37e-11 iterations=12"],
+        ["statistic=0.62342569 spread=0.0524 residual=2.34e-11 iterations=12"],
     ),
     "simulate": (
         "sim.n_steps = 400\nsim.dt = 1e-2\n",
