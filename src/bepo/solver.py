@@ -477,11 +477,10 @@ class ResolventSolver:
     natural-order matrix, M or M^T, on each access; the solver keeps only
     `Ay`.
 
-    When R P M P^T R = S P M P^T bit for bit (`_mirrors`), the solver is
-    `folded` when `fold` asks for it, which it does by default for an
-    adjoint solver and not for a forward one: only the caller knows that
-    its right-hand sides are symmetric. With R M R = S M, an adjoint b = R b
-    has the solution w = S R w, and a forward b = S R b has v = R v, so in
+    When R M R = S M bit for bit (`_mirrors`), the solver is `folded` when
+    `fold` asks for it, which it does by default for an adjoint solver and
+    not for a forward one: only the caller knows that its right-hand sides
+    are symmetric. Then an adjoint b = R b has the solution w = S R w, and a forward b = S R b has v = R v, so in
     y-line order only the first n_f = (n+1)/2 unknowns are free
     (`GridSpec.yline_fold`). `Ay` is then the n_f x n_f matrix of the top
     n_f rows of P M^T P^T, each column p >= n_f folded onto column n-1-p
@@ -505,9 +504,6 @@ class ResolventSolver:
         self.spec = sys.spec
         self.n = n = sys.n
         J = sys.spec.J
-        # P A P^T, (P v)[p] = v[perm[p]], from the rows of A in perm order with
-        # renamed columns: CSC adjoint, CSR forward, so that its compressed
-        # slices are the rows of the matrix the solver inverts
         M = sys.to_csr()
         self.folded = adjoint if fold is None else fold
         if self.folded:
@@ -515,6 +511,9 @@ class ResolventSolver:
             j = np.arange(n) // sys.spec.K % J
             self.folded = _mirrors(M, np.repeat((j == 0) | (j == J - 1), np.diff(M.indptr)))
             del j
+        # P M P^T, (P v)[p] = v[perm[p]], from the rows of M in perm order with
+        # renamed columns: CSC adjoint, CSR forward, so that its compressed
+        # slices are the rows of the matrix the solver inverts
         perm = sys.spec.yline_order()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(n, dtype=np.int32)
@@ -523,18 +522,17 @@ class ResolventSolver:
         Ap = yline.tocsc() if adjoint else yline
         del M, inv, rows, yline
         self._norm = _folded_norm if self.folded else _norm
-        sign = np.ones(n)
         if self.folded:
             # w = S R w adjoint, v = R v forward
-            self._source, neumann = sys.spec.yline_fold()
-            if adjoint:
-                sign = neumann
-            self.Ay, self._folded_at = _fold(Ap, self._source, sign)
+            self._source, self._sign = sys.spec.yline_fold()
+            if not adjoint:
+                self._sign = np.ones(n)
+            self.Ay, self._folded_at = _fold(Ap, self._source, self._sign)
         else:
             self.Ay = sp.csr_matrix((Ap.data, Ap.indices, Ap.indptr), shape=Ap.shape)
         del Ap
-        # the first rows of P b in; P^T (sign * z[source]) out
-        self._perm, self._sign = perm, sign
+        # the first rows of P b in; P^T z, unfolded to sign * z[source], out
+        self._perm = perm
         self.precond, self.factor_nnz, self.levels = _line_sweeps(self.Ay, sys.spec)
 
     def to_yline(self, b: np.ndarray) -> np.ndarray:

@@ -282,17 +282,25 @@ def _natural_precond(solver):
     return np.column_stack(columns)
 
 
+def _dense_line_sgs(Ay, J):
+    """(D+U)^-1 D (D+L)^-1 from the dense line blocks of Ay, lines of J
+    with a shorter last one, and the lines whose block reaches beyond
+    bandwidth 2."""
+    line = np.arange(Ay.shape[0]) // J
+    lower = np.where(line[None, :] <= line[:, None], Ay, 0.0)
+    diag = np.where(line[None, :] == line[:, None], Ay, 0.0)
+    upper = np.where(line[None, :] >= line[:, None], Ay, 0.0)
+    rows, cols = np.nonzero(diag)
+    wide = set(line[rows[np.abs(rows - cols) > 2]].tolist())
+    return np.linalg.inv(upper) @ diag @ np.linalg.inv(lower), wide
+
+
 def _dense_sgs(matrix, I, J, K):
     """P^T (D+U)^-1 D (D+L)^-1 P from dense line blocks of the y-line order."""
     n = I * J * K
     perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
-    Ap = matrix.to_csr().toarray()[np.ix_(perm, perm)]
-    line = np.arange(n) // J
-    lower = np.where(line[None, :] <= line[:, None], Ap, 0.0)
-    diag = np.where(line[None, :] == line[:, None], Ap, 0.0)
-    upper = np.where(line[None, :] >= line[:, None], Ap, 0.0)
     P = np.eye(n)[perm]
-    return P.T @ np.linalg.inv(upper) @ diag @ np.linalg.inv(lower) @ P
+    return P.T @ _dense_line_sgs(P @ matrix.to_csr().toarray() @ P.T, J)[0] @ P
 
 
 def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
@@ -336,19 +344,6 @@ def _dense_fold(matrix, I, J, K, adjoint=True):
     return folded
 
 
-def _dense_line_sgs(Ay, J):
-    """(D+U)^-1 D (D+L)^-1 from the dense line blocks of Ay, lines of J
-    with a shorter last one, and the lines whose block reaches beyond
-    bandwidth 2."""
-    line = np.arange(Ay.shape[0]) // J
-    lower = np.where(line[None, :] <= line[:, None], Ay, 0.0)
-    diag = np.where(line[None, :] == line[:, None], Ay, 0.0)
-    upper = np.where(line[None, :] >= line[:, None], Ay, 0.0)
-    rows, cols = np.nonzero(diag)
-    wide = set(line[rows[np.abs(rows - cols) > 2]].tolist())
-    return np.linalg.inv(upper) @ diag @ np.linalg.inv(lower), wide
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     I=st.sampled_from([3, 5, 7, 9]),
@@ -382,16 +377,6 @@ def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, 
         assert wide == {31, 39}
 
 
-def _dense_folded_sgs(folded, J):
-    """(D+U)^-1 D (D+L)^-1 from the dense line blocks of a folded matrix,
-    whose last line, the center line's free half, is a block of its own."""
-    line = np.arange(folded.shape[0]) // J
-    lower = np.where(line[None, :] <= line[:, None], folded, 0.0)
-    diag = np.where(line[None, :] == line[:, None], folded, 0.0)
-    upper = np.where(line[None, :] >= line[:, None], folded, 0.0)
-    return np.linalg.inv(upper) @ diag @ np.linalg.inv(lower)
-
-
 def test_folded_solver_preconditions_with_the_folded_sweeps():
     """A mirrored adjoint solver iterates on the dense fold of M^T, and its
     preconditioner is the symmetric block Gauss-Seidel sweep
@@ -403,7 +388,7 @@ def test_folded_solver_preconditions_with_the_folded_sweeps():
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K)
     assert np.array_equal(solver.Ay.toarray(), folded)
-    expected = _dense_folded_sgs(folded, J)
+    expected, _ = _dense_line_sgs(folded, J)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray().T)
@@ -472,7 +457,7 @@ def test_folded_forward_solver_preconditions_with_the_folded_sweeps():
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K, adjoint=False)
     assert np.array_equal(solver.Ay.toarray(), folded)
-    expected = _dense_folded_sgs(folded, J)
+    expected, _ = _dense_line_sgs(folded, J)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray())
