@@ -670,21 +670,34 @@ def test_factors_without_warning_and_solves(shape, sigma):
     ],
     ids=["default", "c0", "c1", "alpha-b", "const"],
 )
-def test_only_a_force_offset_keeps_the_full_adjoint_system(model, mirrored):
-    """A model odd under the point reflection folds its adjoint solver onto
-    n_f = (n+1)/2 unknowns, and a forward solver when told to; a constant
-    force term breaks the mirror, and both keep all n. Either way the one
-    line factorization stores six band rows per unknown, plus the dense
-    lines of a fold."""
+def test_one_incomplete_lu_unless_the_force_has_an_offset(model, mirrored, monkeypatch):
+    """Each solver factors once. The factor was an incomplete LU once; now
+    it is the one no-pivot LU of the line blocks of the matrix GMRES runs
+    on. A model odd under the point reflection folds its adjoint solver
+    onto n_f = (n+1)/2 unknowns, and a forward solver when told to, so that
+    LU spans ceil(n_f / J) lines; a constant force term breaks the mirror,
+    and both keep all n. Either way the factor stores six band rows per
+    unknown, plus the dense lines of a fold."""
     grid = build_grid(GridSpec(b=model.b, lam=1e-2, I=9, J=9, K=9))
     matrix = assemble_matrix(grid, model, 1e-2)
     n, free = matrix.n, (matrix.n + 1) // 2
+    calls = []
+    real_band_lu = solver_module._band_lu
+
+    def counted(band):
+        calls.append(band.shape)
+        return real_band_lu(band)
+
+    monkeypatch.setattr(solver_module, "_band_lu", counted)
     for adjoint, fold in ((False, None), (False, True), (True, None)):
+        calls.clear()
         solver = ResolventSolver(matrix, adjoint=adjoint, fold=fold)
         folded = mirrored and (adjoint or fold is True)
         assert solver.folded == folded
-        assert solver.Ay.shape == ((free, free) if folded else (n, n))
-        assert solver.factor_nnz >= 6 * solver.Ay.shape[0]
+        size = free if folded else n
+        assert solver.Ay.shape == (size, size)
+        assert calls == [(5, 9, -(-size // 9))]
+        assert solver.factor_nnz >= 6 * size
 
 
 def test_force_offset_solves_with_two_factors():
