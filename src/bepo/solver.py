@@ -6,13 +6,19 @@ where each line of J nodes along y is contiguous, the matrix GMRES runs on
 splits into line blocks D + L + U, and the preconditioner applies
 (D+U)^-1 D (D+L)^-1 exactly (`_line_sweeps`). Each line block is
 pentadiagonal: the y diffusion and the second-order y upwind reach two
-nodes. The x and z stencils couple a line only to the lines at most two
-steps away along i or k, so the lines fall into levels of lines that do
-not couple, and each half runs level by level: one product with the
-level's couplings to the levels already solved, then two banded
-triangular solves (BLAS `dtbsv`) with the no-pivot LU of the level's line
-blocks. That LU is the one factorization a solver makes, and it serves
-both sweeps.
+nodes. The split ranks the lines k-major: L holds the couplings to lines
+(i', k') with (k', i') before the row's (k, i), U those after it. The x
+and z stencils couple a line only to the lines at most two steps away
+along i or k, so the lines fall into levels of lines that do not couple;
+a folded system's (I+1)/2 + K - 1 levels are the wavefront of its half
+domain. Each half runs level by level, three compiled calls a level:
+scipy's CSR kernel `csr_matvec` adds the level's couplings times the
+levels already solved into the level's slice, then two banded triangular
+solves (BLAS `dtbsv`) with the no-pivot LU of the level's line blocks. The
+lower half keeps the right-hand sides that it solved, and the upper half
+solves on them. That LU is the one factorization a solver makes, and it
+serves both sweeps. The sweeps keep their buffers per solver, so a
+solver's `precond` is not re-entrant.
 
 R, the index reversal of the y-line order, is the point reflection
 (x, y, z) -> (-x, -y, -z), under which the oscillator is odd unless its
@@ -53,6 +59,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.blas import dtbsv
+from scipy.sparse._sparsetools import csr_matvec
 
 from .assembly import SparseSystem
 from .errors import DegenerateInput, NoConvergence, NonFiniteState, PreconditionerBreakdown
@@ -119,42 +126,56 @@ class SolveReport:
     iterations: int
 
 
-def _mirrors(M, flip) -> bool:
+def _mirrors(M, neumann) -> bool:
     """Whether R M R = S M bit for bit, for the natural-order matrix M in
-    canonical CSR and `flip` true on its stored entries in Neumann rows.
+    canonical CSR and `neumann` true on its Neumann rows.
 
     The assembly keeps R M R = S M with S = -1 on the Neumann rows whenever
     the oscillator is odd under the point reflection R (force.const = 0).
     Then a right-hand side with the symmetry gives a solution with it. R
     reverses the natural order, as it does the y-line order, and reversing
-    both axes keeps M's sorted order, so the pointers, indices and signed
-    data of R M R are compared with M's one array at a time, without
-    building R M R. The check reads the matrix, not the model, so a matrix
-    that does not fit is not folded.
+    both axes keeps M's sorted order: stored entry e of row p mirrors entry
+    nnz-1-e of row n-1-p. So the pointers, indices and signed data of the
+    first (n+1)/2 rows are compared with those of the last ones reversed,
+    one array at a time, without building R M R. The check reads the
+    matrix, not the model, so a matrix that does not fit is not folded.
     """
     n, ptr = M.shape[0], M.indptr
+    half = (n + 1) // 2
+    top = ptr[half]
+    flip = np.repeat(neumann[:half], np.diff(ptr[: half + 1]))
+    mirror = M.data[::-1][:top]
     return (
-        np.array_equal(ptr[-1] - ptr[::-1], ptr)
-        and np.array_equal(n - 1 - M.indices[::-1], M.indices)
-        and np.array_equal(np.where(flip[::-1], -M.data[::-1], M.data[::-1]), M.data)
+        np.array_equal(ptr[-1] - ptr[::-1][: half + 1], ptr[: half + 1])
+        and np.array_equal(n - 1 - M.indices[::-1][:top], M.indices[:top])
+        and np.array_equal(np.where(flip, -mirror, mirror), M.data[:top])
     )
 
 
-def _levels(lo: np.ndarray, hi: np.ndarray, n_lines: int) -> np.ndarray:
-    """The level of each of n_lines lines, given the coupled pairs lo < hi:
-    0 for a line coupled to no line before it, else one more than the
-    highest level of those. Coupled lines never share a level, and each
-    line's level exceeds that of every line before it that it couples to,
-    so the lower sweep runs the levels up and the upper one down."""
-    key = np.sort(hi.astype(np.int64) * n_lines + lo)
-    key = key[np.diff(key, prepend=-1) != 0]
-    ptr = np.searchsorted(key // n_lines, np.arange(n_lines + 1)).tolist()
-    before = (key % n_lines).tolist()
-    level = [0] * n_lines
-    for line in range(n_lines):
-        if ptr[line] < ptr[line + 1]:
-            level[line] = 1 + max(level[m] for m in before[ptr[line] : ptr[line + 1]])
-    return np.array(level)
+def _levels(first: np.ndarray, second: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The level of each line, given the lines' ranks and the pairs of
+    lines that couple, (first, second) in either order and repeats allowed:
+    0 for a line coupled to no line ranked before it, else one more than
+    the highest level of those. Coupled lines never share a level, and each
+    line's level exceeds that of every line ranked before it that it couples
+    to, so the lower sweep runs the levels up and the upper one down. Found
+    a level at a time: a line joins the next level once every line it
+    waits for has one."""
+    n_lines = rank.size
+    key = np.sort(np.multiply(first, n_lines, dtype=np.int64) + second)
+    first, second = np.divmod(key[np.diff(key, prepend=-1) != 0], n_lines)
+    ahead = rank[first] < rank[second]
+    lo, hi = np.where(ahead, first, second), np.where(ahead, second, first)
+    waiting = np.bincount(hi, minlength=n_lines)
+    level = np.zeros(n_lines, dtype=np.int64)
+    front, step = waiting == 0, 0
+    while True:
+        reached = np.bincount(hi[front[lo]], minlength=n_lines)
+        if not reached.any():
+            return level
+        waiting -= reached
+        front, step = (waiting == 0) & (reached > 0), step + 1
+        level[front] = step
 
 
 def _band_lu(band: np.ndarray) -> np.ndarray:
@@ -184,42 +205,54 @@ def _band_lu(band: np.ndarray) -> np.ndarray:
 
 
 def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
-    """The symmetric block Gauss-Seidel sweep z = (D+U)^-1 D (D+L)^-1 r of
+    """The symmetric block Gauss-Seidel sweep x = (D+U)^-1 D (D+L)^-1 r of
     Ay's split into y-lines of J unknowns, D + L + U, as a closure; with the
     number of stored line-factor entries and the level steps per
     application.
 
     Line p // J of Ay is y-line (i, k) with i K + k = p // J; a folded Ay's
-    last line is the center line's free half. The lines are grouped into
-    levels (`_levels`) and the unknowns reordered level by level, each line
-    contiguous, so a level's D is banded over one slice. One no-pivot LU of
-    the line blocks (`_band_lu`) serves both sweeps. A level step of the
-    lower sweep (D+L) z = r is one product with the level's couplings to
-    the levels before it, then two BLAS `dtbsv` on the slice. The upper
-    sweep (D+U) x = D z needs no product with D: it is x = z - D^-1 U x,
-    run back down the levels that couple to a later one. A line whose
-    block reaches beyond bandwidth 2 is the identity in the band and is
-    inverted densely: the fold makes two, the lines next to the center
-    line whose x or z stencil reaches across the center and folds back
-    onto themselves, j -> J-1-j. A zero or non-finite pivot raises
-    PreconditionerBreakdown, naming the line. The closure holds no
-    reference back to the solver, so a spent solver is freed by
+    last line is the center line's free half. The split ranks the lines
+    k-major, line (i, k) before (i', k') when (k, i) < (k', i'). Every
+    coupling of an unfolded Ay runs along one axis, where both rankings
+    agree; in a folded one the mirrored couplings next to the center plane
+    also join lines at mirrored k, and ranked by k they leave a schedule
+    of (I+1)/2 + K - 1 levels, where ranked by i they leave about K/2 more.
+    The lines are grouped into levels (`_levels`) and the unknowns
+    reordered level by level, each line contiguous, so a level's D is
+    banded over one slice. One no-pivot LU of the line blocks (`_band_lu`)
+    serves both sweeps. A level step is three compiled calls on views made
+    once here: scipy's CSR kernel `csr_matvec`, which accumulates y += A x,
+    adds the level's negated couplings times the solved levels into the
+    level's slice, and two BLAS `dtbsv` solve with its D. The lower sweep
+    (D+L) z = r keeps its right-hand sides q = r - L z, so the upper one
+    solves D x = q - U x on q's slices, down the levels, with no scratch;
+    the top level's x is its z. A line whose block reaches beyond
+    bandwidth 2 is the identity in the band and is inverted densely: the
+    fold makes two, the lines next to the center line whose x or z stencil
+    reaches across the center and folds back onto themselves,
+    j -> J-1-j. A zero or non-finite pivot raises
+    PreconditionerBreakdown, naming the line. q and z are the closure's
+    own buffers, so it is not re-entrant: two calls on one solver must not
+    overlap, as they could from two threads. It returns a new vector and
+    holds no reference back to the solver, so a spent solver is freed by
     refcounting.
     """
     N, J = Ay.shape[0], spec.J
     n_lines = -(-N // J)
     row = np.repeat(np.arange(N, dtype=np.int32), np.diff(Ay.indptr))
     col, data = Ay.indices, Ay.data
-    rline = row // J
-    # the line of each entry's column against its row's: < 0 in L, > 0 in U
-    side = col // J - rline
-    inline = side == 0
-    r, c, d = row[inline], col[inline], data[inline]
+    rline, cline = row // J, col // J
+    line = np.arange(n_lines, dtype=np.int32)
+    rank = line % spec.K * spec.I + line // spec.K
+    # the entries of D, then those of L and of U, each in Ay's order
+    inline = np.flatnonzero(rline == cline)
+    below = rank.take(cline) < rank.take(rline)
+    coupled = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below & (rline != cline))])
+    level = _levels(rline.take(coupled), cline.take(coupled), rank)
+    r, c, d = row.take(inline), col.take(inline), data.take(inline)
     offset = c - r
     wide = np.unique(r[np.abs(offset) > 2] // J)
-    first, second = rline[~inline], rline[~inline] + side[~inline]
-    level = _levels(np.minimum(first, second), np.maximum(first, second), n_lines)
-    del first, second
+    del rline, cline, line, rank, inline
     # the unknowns level by level, each line in j order; only the last line
     # can be shorter than J
     by_level = np.argsort(level, kind="stable")
@@ -234,10 +267,9 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
 
     # D's band, in the (J, lines) layout of `_band_lu`, identity on padding
     # and on the wide lines; a folded Ay keeps entries apart, so they are summed
-    keep = np.abs(offset) <= 2
-    at = ((offset[keep] + 2) * J + r[keep] % J) * n_lines + r[keep] // J
-    band = np.bincount(at, weights=d[keep], minlength=5 * J * n_lines).reshape(5, J, n_lines)
-    del keep, at
+    at = ((np.clip(offset, -2, 2) + 2) * J + r % J) * n_lines + r // J
+    band = np.bincount(at, weights=d, minlength=5 * J * n_lines).reshape(5, J, n_lines)
+    del at
     band[2, lengths[-1] :, -1] = 1.0
     band[:, :, wide] = 0.0
     band[2, :, wide] = 1.0
@@ -257,6 +289,7 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     lower[1, :-1], lower[2, :-2] = l1[1:], l2[2:]
     upper[0, 2:], upper[1, 1:], upper[2] = u2[:-2], u1[:-1], u0
     del lu, l2, l1, u0, u1, u2
+    q, z = np.empty(N), np.empty(N)
     dense = {}
     for line in wide.tolist():
         at = r // J == line
@@ -266,65 +299,52 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
         if info != 0 or not np.isfinite(factor).all():
             _breakdown(line, spec, "in its dense LU")
         start = int(pos[line * J])
-        dense.setdefault(int(level[line]), []).append(
-            (start, start + lengths[line], lapack.dgetri(factor, piv)[0])
-        )
+        at = slice(start, start + lengths[line])
+        dense.setdefault(int(level[line]), []).append((z[at], q[at], lapack.dgetri(factor, piv)[0]))
+    del r, c, d, offset
 
-    def couplings(mask):
-        """The entries of mask in level order, as one CSR block per level,
-        None for a level without any."""
-        kept = np.zeros(mask.size + 1, dtype=np.int32)
-        np.cumsum(mask, out=kept[1:])
-        M = sp.csr_matrix((data[mask], pos[col[mask]], kept[Ay.indptr]), shape=(N, N))[order]
-        ptr = M.indptr
-        return [
-            sp.csr_matrix(
-                (M.data[ptr[a] : ptr[b]], M.indices[ptr[a] : ptr[b]], ptr[a : b + 1] - ptr[a]),
-                shape=(b - a, N),
-            )
-            if ptr[b] > ptr[a]
-            else None
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-
-    del row, rline, inline, r, c, d, offset
-    below, above = couplings(side < 0), couplings(side > 0)
-    del side
+    # the negated couplings in level order, grouped by a stable sort: the
+    # rows of L, then those of U, each row's entries in Ay's order; ptr[p]
+    # starts row p of L and ptr[N + p] row p of U
+    key = pos.take(row.take(coupled))
+    key[np.count_nonzero(below) :] += N
+    by_row = coupled[np.argsort(key, kind="stable")]
+    cols, vals = pos.take(col.take(by_row)), -data.take(by_row)
+    ptr = np.zeros(2 * N + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key, minlength=2 * N), out=ptr[1:])
+    del row, below, coupled, key, by_row
     stored = lower.size + upper.size
     stored += sum(inv.size for blocks in dense.values() for *_, inv in blocks)
-    # per level: its slice, the band factors' columns on it, its dense lines
-    # and its couplings below and above
+    # per level: its rows, its couplings below and above, its slices of q
+    # and z, the band factors' columns on it and its dense lines
     steps = [
-        (a, b, lower[:, a:b], upper[:, a:b], dense.get(s, ()), L, U)
-        for s, (a, b, L, U) in enumerate(zip(bounds[:-1], bounds[1:], below, above))
+        (b - a, ptr[a : b + 1], ptr[N + a : N + b + 1], q[a:b], z[a:b], a)
+        + (lower[:, a:b], upper[:, a:b], dense.get(s, ()))
+        for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
 
     def apply(r):
-        # (D+L) z = r level by level up; then (D+U) x = D z is
-        # x = z - D^-1 U x level by level down, in place. `*` is the matrix
-        # product of a csr_matrix, which it reaches in fewer checks than `@`;
         # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite)
-        z = r[order]
-        for a, b, lo, up, blocks, L, _ in steps:
-            if L is not None:
-                z[a:b] -= L * z
+        q[:] = r[order]
+        for rows, l_ptr, _, q_s, z_s, a, lo, up, blocks in steps:
+            csr_matvec(rows, N, l_ptr, cols, vals, z, q_s)
+            z_s[:] = q_s
             dtbsv(2, lo, z, 1, a, 1, 0, 1, 1)
             dtbsv(2, up, z, 1, a, 0, 0, 0, 1)
-            for start, stop, inv in blocks:
-                z[start:stop] = inv @ z[start:stop]
-        for a, b, lo, up, blocks, _, U in reversed(steps):
-            if U is not None:
-                c = U * z
-                dtbsv(2, lo, c, 1, 0, 1, 0, 1, 1)
-                dtbsv(2, up, c, 1, 0, 0, 0, 0, 1)
-                for start, stop, inv in blocks:
-                    c[start - a : stop - a] = inv @ c[start - a : stop - a]
-                z[a:b] -= c
+            for z_line, _, inv in blocks:
+                z_line[:] = inv @ z_line
+        q_s[:] = z_s  # the top level's x is its z
+        for rows, _, u_ptr, q_s, _, a, lo, up, blocks in reversed(steps[:-1]):
+            csr_matvec(rows, N, u_ptr, cols, vals, q, q_s)
+            dtbsv(2, lo, q, 1, a, 1, 0, 1, 1)
+            dtbsv(2, up, q, 1, a, 0, 0, 0, 1)
+            for _, q_line, inv in blocks:
+                q_line[:] = inv @ q_line
         out = np.empty(N)
-        out[order] = z
+        out[order] = q
         return out
 
-    return apply, stored, len(steps) + sum(U is not None for *_, U in steps)
+    return apply, stored, 2 * len(steps) - 1
 
 
 def _breakdown(line: int, spec: GridSpec, where: str):
@@ -418,22 +438,20 @@ def _gmres(A, b, precond, tol, restart, cycles, norm):
     return v, steps
 
 
-def _fold(Ap, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The folded matrix, from the compressed arrays of P M P^T whose first
-    n_f = (n+1)/2 slices are the top n_f rows of the y-line matrix the
-    solver inverts: the CSR forward, and adjoint the CSC, whose columns
-    read as rows are those of P M^T P^T. Each column p >= n_f moves onto
-    source[p] = n-1-p with sign[p], 1 forward and adjoint the sign S of p
-    (`GridSpec.yline_fold`), and no two entries are summed. Returns it as
-    CSR, with the positions of the stored entries that moved."""
-    free = (source.size + 1) // 2
-    top = Ap.indptr[free]
-    cols = Ap.indices[:top]
+def _fold(rows, inv, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The folded matrix, from `rows`, the top n_f = (n+1)/2 rows of the
+    y-line matrix the solver inverts with their natural-order columns: P M
+    forward, P M^T adjoint. Each column moves to its y-line position
+    p = inv[column], and p >= n_f on to source[p] = n-1-p with sign[p], 1
+    forward and adjoint the sign S of p (`GridSpec.yline_fold`); no two
+    entries are summed. Returns it as CSR, with the positions of the stored
+    entries that moved."""
+    free = rows.shape[0]
+    at = inv.take(rows.indices)
     folded = sp.csr_matrix(
-        (sign[cols] * Ap.data[:top], source[cols], Ap.indptr[: free + 1].copy()),
-        shape=(free, free),
+        (sign.take(at) * rows.data, source.take(at), rows.indptr), shape=(free, free)
     )
-    return folded, np.flatnonzero(cols >= free)
+    return folded, np.flatnonzero(at >= free)
 
 
 def reflection_symmetric(b: np.ndarray, spec: GridSpec, neumann: float = 1.0) -> bool:
@@ -466,13 +484,16 @@ class ResolventSolver:
     """Builds the preconditioner once and solves any number of right-hand
     sides, of M v = b, or with `adjoint` of M^T w = b.
 
-    P M P^T is formed once in `GridSpec.yline_order`. GMRES runs on the
-    y-line matrix `Ay`: P M P^T forward, and adjoint P M^T P^T, read from
-    the CSC of P M P^T. `precond` is the symmetric block Gauss-Seidel sweep
+    GMRES runs on the y-line matrix `Ay` in `GridSpec.yline_order`: P M P^T
+    forward, and adjoint P M^T P^T, whose rows are gathered once from M's
+    CSR, or from its CSC read as the CSR of M^T. `precond` is the symmetric
+    block Gauss-Seidel sweep
     (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into lines of J
     (`_line_sweeps`), solved exactly, level by level; its line factors are
     the one factorization (`factor_nnz` stored entries, `levels` level
-    steps per application). `solve` takes and returns natural-order vectors
+    steps per application). `precond` works in buffers of its own, so two
+    of its calls on one solver must not overlap, as from two threads; two
+    solvers do not share them. `solve` takes and returns natural-order vectors
     and permutes each once (`to_yline`, `to_natural`). `A` rebuilds the
     natural-order matrix, M or M^T, on each access; the solver keeps only
     `Ay`.
@@ -509,30 +530,25 @@ class ResolventSolver:
         if self.folded:
             # S = -1 on the Neumann rows, j in {0, J-1}
             j = np.arange(n) // sys.spec.K % J
-            self.folded = _mirrors(M, np.repeat((j == 0) | (j == J - 1), np.diff(M.indptr)))
+            self.folded = _mirrors(M, (j == 0) | (j == J - 1))
             del j
-        # P M P^T, (P v)[p] = v[perm[p]], from the rows of M in perm order with
-        # renamed columns: CSC adjoint, CSR forward, so that its compressed
-        # slices are the rows of the matrix the solver inverts
-        perm = sys.spec.yline_order()
+        # the rows of P M, adjoint of P M^T, that the solver inverts, the
+        # first n_f when it folds; (P v)[p] = v[perm[p]]
+        self._perm = perm = sys.spec.yline_order()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(n, dtype=np.int32)
-        rows = M[perm]
-        yline = sp.csr_matrix((rows.data, inv[rows.indices], rows.indptr), shape=rows.shape)
-        Ap = yline.tocsc() if adjoint else yline
-        del M, inv, rows, yline
+        rows = (M.T.tocsr() if adjoint else M)[perm[: (n + 1) // 2 if self.folded else n]]
+        del M
         self._norm = _folded_norm if self.folded else _norm
         if self.folded:
             # w = S R w adjoint, v = R v forward
             self._source, self._sign = sys.spec.yline_fold()
             if not adjoint:
                 self._sign = np.ones(n)
-            self.Ay, self._folded_at = _fold(Ap, self._source, self._sign)
+            self.Ay, self._folded_at = _fold(rows, inv, self._source, self._sign)
         else:
-            self.Ay = sp.csr_matrix((Ap.data, Ap.indices, Ap.indptr), shape=Ap.shape)
-        del Ap
-        # the first rows of P b in; P^T z, unfolded to sign * z[source], out
-        self._perm = perm
+            self.Ay = sp.csr_matrix((rows.data, inv.take(rows.indices), rows.indptr), shape=(n, n))
+        del rows, inv
         self.precond, self.factor_nnz, self.levels = _line_sweeps(self.Ay, sys.spec)
 
     def to_yline(self, b: np.ndarray) -> np.ndarray:

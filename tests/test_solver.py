@@ -282,14 +282,16 @@ def _natural_precond(solver):
     return np.column_stack(columns)
 
 
-def _dense_line_sgs(Ay, J):
+def _dense_line_sgs(Ay, I, J, K):
     """(D+U)^-1 D (D+L)^-1 from the dense line blocks of Ay, lines of J
     with a shorter last one, and the lines whose block reaches beyond
-    bandwidth 2."""
+    bandwidth 2. Line i K + k is ranked k I + i: L holds the couplings to
+    lines ranked before the row's, U those to lines ranked after it."""
     line = np.arange(Ay.shape[0]) // J
-    lower = np.where(line[None, :] <= line[:, None], Ay, 0.0)
+    rank = line % K * I + line // K
+    lower = np.where(rank[None, :] <= rank[:, None], Ay, 0.0)
     diag = np.where(line[None, :] == line[:, None], Ay, 0.0)
-    upper = np.where(line[None, :] >= line[:, None], Ay, 0.0)
+    upper = np.where(rank[None, :] >= rank[:, None], Ay, 0.0)
     rows, cols = np.nonzero(diag)
     wide = set(line[rows[np.abs(rows - cols) > 2]].tolist())
     return np.linalg.inv(upper) @ diag @ np.linalg.inv(lower), wide
@@ -300,7 +302,7 @@ def _dense_sgs(matrix, I, J, K):
     n = I * J * K
     perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
     P = np.eye(n)[perm]
-    return P.T @ _dense_line_sgs(P @ matrix.to_csr().toarray() @ P.T, J)[0] @ P
+    return P.T @ _dense_line_sgs(P @ matrix.to_csr().toarray() @ P.T, I, J, K)[0] @ P
 
 
 def test_preconditioner_is_symmetric_block_gauss_seidel_over_y_lines():
@@ -362,12 +364,14 @@ def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, 
     solver folds unless the force has an offset; a folded forward one is
     asked to. The examples take the two off-center lines whose x and z
     stencils the fold sends back onto themselves, dense blocks, and J = 3,
-    where no line couples to another."""
+    where no line couples to another. From I, J >= 5 an application takes
+    2 L - 1 level steps, L = (I+1)/2 + K - 1 folded, whose lines ranked
+    k-major make the half-domain wavefront, and L = I + K - 1 unfolded."""
     grid, matrix = _band_system(I, J, K, lam=1e-3, model=model)
     solver = ResolventSolver(
         matrix, adjoint=direction == "adjoint", fold=True if direction == "folded forward" else None
     )
-    expected, wide = _dense_line_sgs(solver.Ay.toarray(), J)
+    expected, wide = _dense_line_sgs(solver.Ay.toarray(), I, J, K)
     r = np.random.default_rng(I * 100 + J * 10 + K).standard_normal((solver.Ay.shape[0], 3))
     got = np.column_stack([solver.precond(column) for column in r.T])
     want = expected @ r
@@ -375,6 +379,52 @@ def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, 
     if (I, J, K) == (9, 7, 9) and solver.folded:
         # (i, k) = (3, 4) and (4, 3), numbered i K + k
         assert wide == {31, 39}
+    if I >= 5 and J >= 5:
+        levels = (I + 1) // 2 + K - 1 if solver.folded else I + K - 1
+        assert solver.levels == 2 * levels - 1
+
+
+def test_preconditioner_buffers_do_not_leak_between_calls_or_solvers():
+    """Each solver's sweeps keep their own buffers: a second call leaves the
+    first call's result and its input as they were, and two solvers whose
+    calls interleave return bit for bit what each returns alone."""
+    _, matrix = _band_system(9, 7, 9, lam=1e-3)
+    folded, unfolded = ResolventSolver(matrix, adjoint=True), ResolventSolver(matrix)
+    assert folded.folded and not unfolded.folded
+    rng = np.random.default_rng(7)
+    inputs = {s: rng.standard_normal((2, s.Ay.shape[0])) for s in (folded, unfolded)}
+    r = inputs[folded][0].copy()
+    first = folded.precond(r)
+    kept = first.copy()
+    second = folded.precond(inputs[folded][1])
+    assert np.array_equal(first, kept) and np.array_equal(r, inputs[folded][0])
+    assert not np.array_equal(first, second)
+    alone = {s: [s.precond(x) for x in inputs[s]] for s in (folded, unfolded)}
+    together = {folded: [], unfolded: []}
+    for step in range(2):
+        for s in (folded, unfolded):
+            together[s].append(s.precond(inputs[s][step]))
+    for s in (folded, unfolded):
+        assert all(np.array_equal(a, b) for a, b in zip(alone[s], together[s]))
+
+
+def test_csr_matvec_adds_into_a_slice_of_the_vector_it_reads():
+    """The sweeps' coupling products use scipy's CSR kernel, the private
+    `csr_matvec(n_row, n_col, indptr, indices, data, x, y)` that
+    `csr_matrix`'s own product calls. Its contract as used: with int32
+    `indptr` and `indices`, and `indptr` a view whose first pointer need
+    not be 0, it adds A x to y in place, y being a contiguous slice of the
+    very vector x that it reads outside the slice. Integer values make
+    every sum exact."""
+    x = np.arange(10.0)
+    expected = x.copy()
+    ptr = np.array([0, 0, 2, 3, 5], dtype=np.int32)
+    indices = np.array([0, 9, 1, 2, 8], dtype=np.int32)
+    data = np.array([1.0, -2.0, 3.0, 4.0, 5.0])
+    # rows 1-3 of the stored matrix into x[4:7], which no column reads
+    expected[4:7] += [0 * 1.0 - 2 * 9.0, 3 * 1.0, 4 * 2.0 + 5 * 8.0]
+    solver_module.csr_matvec(3, 10, ptr[1:], indices, data, x, x[4:7])
+    assert np.array_equal(x, expected)
 
 
 def test_folded_solver_preconditions_with_the_folded_sweeps():
@@ -388,7 +438,7 @@ def test_folded_solver_preconditions_with_the_folded_sweeps():
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K)
     assert np.array_equal(solver.Ay.toarray(), folded)
-    expected, _ = _dense_line_sgs(folded, J)
+    expected, _ = _dense_line_sgs(folded, I, J, K)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray().T)
@@ -457,7 +507,7 @@ def test_folded_forward_solver_preconditions_with_the_folded_sweeps():
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K, adjoint=False)
     assert np.array_equal(solver.Ay.toarray(), folded)
-    expected, _ = _dense_line_sgs(folded, J)
+    expected, _ = _dense_line_sgs(folded, I, J, K)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray())
