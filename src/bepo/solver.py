@@ -299,8 +299,8 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
         if info != 0 or not np.isfinite(factor).all():
             _breakdown(line, spec, "in its dense LU")
         start = int(pos[line * J])
-        at = slice(start, start + lengths[line])
-        dense.setdefault(int(level[line]), []).append((z[at], q[at], lapack.dgetri(factor, piv)[0]))
+        span = slice(start, start + lengths[line])
+        dense.setdefault(int(level[line]), []).append((z[span], q[span], lapack.dgetri(factor, piv)[0]))
     del r, c, d, offset
 
     # the negated couplings in level order, grouped by a stable sort: the
@@ -324,8 +324,9 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     ]
 
     def apply(r):
-        # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite)
-        q[:] = r[order]
+        # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite);
+        # take with out and without mode="raise" gathers straight into q
+        np.take(r, order, out=q, mode="clip")
         for rows, l_ptr, _, q_s, z_s, a, lo, up, blocks in steps:
             csr_matvec(rows, N, l_ptr, cols, vals, z, q_s)
             z_s[:] = q_s
@@ -340,9 +341,7 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
             dtbsv(2, up, q, 1, a, 0, 0, 0, 1)
             for _, q_line, inv in blocks:
                 q_line[:] = inv @ q_line
-        out = np.empty(N)
-        out[order] = q
-        return out
+        return q.take(pos)
 
     return apply, stored, 2 * len(steps) - 1
 
@@ -487,16 +486,15 @@ class ResolventSolver:
     GMRES runs on the y-line matrix `Ay` in `GridSpec.yline_order`: P M P^T
     forward, and adjoint P M^T P^T, whose rows are gathered once from M's
     CSR, or from its CSC read as the CSR of M^T. `precond` is the symmetric
-    block Gauss-Seidel sweep
-    (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into lines of J
-    (`_line_sweeps`), solved exactly, level by level; its line factors are
-    the one factorization (`factor_nnz` stored entries, `levels` level
-    steps per application). `precond` works in buffers of its own, so two
-    of its calls on one solver must not overlap, as from two threads; two
-    solvers do not share them. `solve` takes and returns natural-order vectors
-    and permutes each once (`to_yline`, `to_natural`). `A` rebuilds the
-    natural-order matrix, M or M^T, on each access; the solver keeps only
-    `Ay`.
+    block Gauss-Seidel sweep (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into
+    lines of J (`_line_sweeps`), solved exactly, level by level; its line
+    factors are the one factorization (`factor_nnz` stored entries,
+    `levels` level steps per application). `precond` works in buffers of
+    its own, so two of its calls on one solver must not overlap, as from
+    two threads; two solvers do not share them. `solve` takes and returns
+    natural-order vectors and permutes each once (`to_yline`,
+    `to_natural`). `A` rebuilds the natural-order matrix, M or M^T, on each
+    access; the solver keeps only `Ay`.
 
     When R M R = S M bit for bit (`_mirrors`), the solver is `folded` when
     `fold` asks for it, which it does by default for an adjoint solver and
