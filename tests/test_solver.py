@@ -418,11 +418,12 @@ def test_csr_matvec_adds_into_a_slice_of_the_vector_it_reads():
     every sum exact."""
     x = np.arange(10.0)
     expected = x.copy()
-    ptr = np.array([0, 0, 2, 3, 5], dtype=np.int32)
-    indices = np.array([0, 9, 1, 2, 8], dtype=np.int32)
-    data = np.array([1.0, -2.0, 3.0, 4.0, 5.0])
-    # rows 1-3 of the stored matrix into x[4:7], which no column reads
-    expected[4:7] += [0 * 1.0 - 2 * 9.0, 3 * 1.0, 4 * 2.0 + 5 * 8.0]
+    ptr = np.array([0, 2, 4, 5, 7], dtype=np.int32)
+    indices = np.array([5, 6, 0, 9, 1, 2, 8], dtype=np.int32)
+    data = np.array([100.0, 100.0, 1.0, -2.0, 3.0, 4.0, 5.0])
+    # rows 1-3 of the stored matrix into x[4:7], which none of their columns
+    # reads; row 0 lies before the pointer view and must not be read
+    expected[4:7] += [1.0 * 0 - 2.0 * 9, 3.0 * 1, 4.0 * 2 + 5.0 * 8]
     solver_module.csr_matvec(3, 10, ptr[1:], indices, data, x, x[4:7])
     assert np.array_equal(x, expected)
 
