@@ -6,11 +6,12 @@ where each line of J nodes along y is contiguous, the matrix GMRES runs on
 splits into line blocks D + L + U, and the preconditioner applies
 (D+U)^-1 D (D+L)^-1 exactly (`_line_sweeps`). Each line block is
 pentadiagonal: the y diffusion and the second-order y upwind reach two
-nodes. The split ranks the lines k-major: L holds the couplings to lines
-(i', k') with (k', i') before the row's (k, i), U those after it. The x
-and z stencils couple a line only to the lines at most two steps away
-along i or k, so the lines fall into levels of lines that do not couple;
-a folded system's (I+1)/2 + K - 1 levels are the wavefront of its half
+nodes. Line (i, k) runs at level i + k, and L holds a line's couplings to
+lower levels, U those to higher ones. No two lines of a level couple: the
+x and z stencils reach at most two lines along i or k, and a fold, which
+keeps the first (n+1)/2 unknowns, mirrors couplings only into the rows
+i >= (I-1)/2 - 2, where the lines with k > (K-1)/2 run one level later. A
+folded system's (I+1)/2 + K - 1 levels are the wavefront of its half
 domain. Each half runs level by level, three compiled calls a level:
 scipy's CSR kernel `csr_matvec` adds the level's couplings times the
 levels already solved into the level's slice, then two banded triangular
@@ -152,32 +153,6 @@ def _mirrors(M, neumann) -> bool:
     )
 
 
-def _levels(first: np.ndarray, second: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The level of each line, given the lines' ranks and the pairs of
-    lines that couple, (first, second) in either order and repeats allowed:
-    0 for a line coupled to no line ranked before it, else one more than
-    the highest level of those. Coupled lines never share a level, and each
-    line's level exceeds that of every line ranked before it that it couples
-    to, so the lower sweep runs the levels up and the upper one down. Found
-    a level at a time: a line joins the next level once every line it
-    waits for has one."""
-    n_lines = rank.size
-    key = np.sort(np.multiply(first, n_lines, dtype=np.int64) + second)
-    first, second = np.divmod(key[np.diff(key, prepend=-1) != 0], n_lines)
-    ahead = rank[first] < rank[second]
-    lo, hi = np.where(ahead, first, second), np.where(ahead, second, first)
-    waiting = np.bincount(hi, minlength=n_lines)
-    level = np.zeros(n_lines, dtype=np.int64)
-    front, step = waiting == 0, 0
-    while True:
-        reached = np.bincount(hi[front[lo]], minlength=n_lines)
-        if not reached.any():
-            return level
-        waiting -= reached
-        front, step = (waiting == 0) & (reached > 0), step + 1
-        level[front] = step
-
-
 def _band_lu(band: np.ndarray) -> np.ndarray:
     """The no-pivot LU of pentadiagonal blocks, all at once: band[d + 2, j]
     holds entry (j, j+d) of each block, shape (5, J, lines). Returns
@@ -211,13 +186,18 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     application.
 
     Line p // J of Ay is y-line (i, k) with i K + k = p // J; a folded Ay's
-    last line is the center line's free half. The split ranks the lines
-    k-major, line (i, k) before (i', k') when (k, i) < (k', i'). Every
-    coupling of an unfolded Ay runs along one axis, where both rankings
-    agree; in a folded one the mirrored couplings next to the center plane
-    also join lines at mirrored k, and ranked by k they leave a schedule
-    of (I+1)/2 + K - 1 levels, where ranked by i they leave about K/2 more.
-    The lines are grouped into levels (`_levels`) and the unknowns
+    last line is the center line's free half. Line (i, k) runs at level
+    i + k, and the split is by level: L holds a line's couplings to lower
+    levels, U those to higher ones. Two facts keep the lines of a level
+    apart. The x and z stencils couple a line only to the lines at most two
+    steps away along i or k, which an unfolded Ay's levels separate. A fold
+    keeps the first (n+1)/2 unknowns, the rows i < (I-1)/2 and the center
+    row's first half, so the couplings it mirrors back join lines (i, k)
+    and (i', K-1-k) in rows (I-1)/2 - 2 to (I-1)/2; there the lines with
+    k > (K-1)/2 run one level later. Either way the levels order every
+    coupled pair as k-major ranking, (k, i) < (k', i'), does, and a folded
+    Ay has (I+1)/2 + K - 1 levels, the wavefront of its half domain. The
+    lines are sorted by level (a stable sort) and the unknowns
     reordered level by level, each line contiguous, so a level's D is
     banded over one slice. One no-pivot LU of the line blocks (`_band_lu`)
     serves both sweeps. A level step is three compiled calls on views made
@@ -242,17 +222,18 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     row = np.repeat(np.arange(N, dtype=np.int32), np.diff(Ay.indptr))
     col, data = Ay.indices, Ay.data
     rline, cline = row // J, col // J
-    line = np.arange(n_lines, dtype=np.int32)
-    rank = line % spec.K * spec.I + line // spec.K
+    i, k = np.divmod(np.arange(n_lines), spec.K)
+    level = i + k
+    if N < spec.n_nodes:
+        level += (k > (spec.K - 1) // 2) & (i >= (spec.I - 1) // 2 - 2)
     # the entries of D, then those of L and of U, each in Ay's order
     inline = np.flatnonzero(rline == cline)
-    below = rank.take(cline) < rank.take(rline)
+    below = level.take(cline) < level.take(rline)
     coupled = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below & (rline != cline))])
-    level = _levels(rline.take(coupled), cline.take(coupled), rank)
     r, c, d = row.take(inline), col.take(inline), data.take(inline)
     offset = c - r
     wide = np.unique(r[np.abs(offset) > 2] // J)
-    del rline, cline, line, rank, inline
+    del rline, cline, i, k, inline
     # the unknowns level by level, each line in j order; only the last line
     # can be shorter than J
     by_level = np.argsort(level, kind="stable")
@@ -465,13 +446,6 @@ def reflection_symmetric(b: np.ndarray, spec: GridSpec, neumann: float = 1.0) ->
     )
 
 
-def _neumann_sign(n: int, J: int) -> np.ndarray:
-    """S in y-line order: -1 on the Neumann nodes, the ends of each line."""
-    sign = np.ones((n // J, J))
-    sign[:, [0, -1]] = -1.0
-    return sign.ravel()
-
-
 def require_finite(b: np.ndarray) -> None:
     """Raise NonFiniteState when b holds a NaN or an infinity."""
     bad = np.count_nonzero(~np.isfinite(b))
@@ -588,7 +562,9 @@ class ResolventSolver:
         col[at] = n - 1 - col[at]
         data[at] *= self._sign[col[at]]
         low = row < self.Ay.shape[0] - 1
-        neumann = _neumann_sign(n, self.spec.J)[col[low] if self.adjoint else row[low]]
+        # S of the y-line position: -1 at the ends of each line
+        j = (col[low] if self.adjoint else row[low]) % self.spec.J
+        neumann = np.where((j == 0) | (j == self.spec.J - 1), -1.0, 1.0)
         row = np.concatenate([row, n - 1 - row[low]])
         data = np.concatenate([data, neumann * data[low]])
         col = np.concatenate([col, n - 1 - col[low]])

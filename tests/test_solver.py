@@ -358,15 +358,18 @@ def _dense_fold(matrix, I, J, K, adjoint=True):
 @example(I=9, J=7, K=9, direction="folded forward", model=ALTERED)
 @example(I=7, J=3, K=9, direction="adjoint", model=ALTERED)
 @example(I=3, J=3, K=3, direction="folded forward", model=MODEL)
+@example(I=5, J=3, K=7, direction="adjoint", model=MODEL)
+@example(I=3, J=5, K=5, direction="folded forward", model=ALTERED)
 def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, model):
     """On every shape, direction and fold, `precond` applies the dense
-    (D+U)^-1 D (D+L)^-1 of `Ay`'s own line split to 1e-12. The adjoint
-    solver folds unless the force has an offset; a folded forward one is
-    asked to. The examples take the two off-center lines whose x and z
-    stencils the fold sends back onto themselves, dense blocks, and J = 3,
-    where no line couples to another. From I, J >= 5 an application takes
-    2 L - 1 level steps, L = (I+1)/2 + K - 1 folded, whose lines ranked
-    k-major make the half-domain wavefront, and L = I + K - 1 unfolded."""
+    (D+U)^-1 D (D+L)^-1 of `Ay`'s own line split to 1e-12, the lines ranked
+    k-major. The adjoint solver folds unless the force has an offset; a
+    folded forward one is asked to. The examples take the two off-center
+    lines whose x and z stencils the fold sends back onto themselves, dense
+    blocks; J = 3, where no line couples to another; and folded I = 5 and
+    I = 3, whose shifted rows near the center plane start at row 0. Every
+    application takes 2 L - 1 level steps, L = (I+1)/2 + K - 1 folded, the
+    half-domain wavefront, and L = I + K - 1 unfolded."""
     grid, matrix = _band_system(I, J, K, lam=1e-3, model=model)
     solver = ResolventSolver(
         matrix, adjoint=direction == "adjoint", fold=True if direction == "folded forward" else None
@@ -379,9 +382,8 @@ def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, 
     if (I, J, K) == (9, 7, 9) and solver.folded:
         # (i, k) = (3, 4) and (4, 3), numbered i K + k
         assert wide == {31, 39}
-    if I >= 5 and J >= 5:
-        levels = (I + 1) // 2 + K - 1 if solver.folded else I + K - 1
-        assert solver.levels == 2 * levels - 1
+    levels = (I + 1) // 2 + K - 1 if solver.folded else I + K - 1
+    assert solver.levels == 2 * levels - 1
 
 
 def test_preconditioner_buffers_do_not_leak_between_calls_or_solvers():
