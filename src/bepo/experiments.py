@@ -92,13 +92,13 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     bit for bit (`reflection_symmetric`), as a band observable, the
     constant one and a crossing at level 0 are, the solver folds onto half
     the unknowns. The assembled matrix is dropped once the solver holds its
-    y-line copy. Returns the report, the grid, the right-hand sides and the
-    manifest's `stages` record: seconds of assembly (matrix and right-hand
-    sides), of the y-line split and the line factorization, and of the
-    Krylov solve, plus the number of line factorizations (1), their stored
-    entries, the level steps of one preconditioner application, and the
-    number of unknowns GMRES ran on (n_f = (n+1)/2 when the solver folds,
-    n otherwise).
+    own copy, in the order its sweep runs. Returns the report, the grid,
+    the right-hand sides and the manifest's `stages` record: seconds of
+    assembly (matrix and right-hand sides), of the solver's renumbering and
+    line factorization, and of the Krylov solve, plus the number of line
+    factorizations (1), their stored entries, the level steps of one
+    preconditioner application, and the number of unknowns GMRES ran on
+    (n_f = (n+1)/2 when the solver folds, n otherwise).
     """
     grid = build_grid(spec)
     crossing = [g.params for g in observables if g.kind == "crossing"]
@@ -126,7 +126,7 @@ def _factor_and_solve(cfg: RunConfig, spec: GridSpec, observables, adjoint: bool
     fold = None if adjoint else reflection_symmetric(rhs[0], spec, neumann=-1.0)
     assembled = time.perf_counter()
     solver = ResolventSolver(matrix, cfg.solver, adjoint=adjoint, fold=fold)
-    del matrix  # the solver keeps its own y-line copy
+    del matrix  # the solver keeps its own copy
     factored = time.perf_counter()
     if adjoint:
         rhs = build_rhs()

@@ -8,12 +8,11 @@ O(lam); `h` gives the unscaled spacing of an axis.
 
 Node indices (i, j, k) are 0-based; node (i, j, k) is entry
 `GridSpec.index(i, j, k)` = (i*J + j)*K + k of a field vector, k fastest,
-`GridSpec.field` views a field as an (I, J, K) array, and
-`GridSpec.yline_order` is the solver's order, line by line along y, whose
-reversal is the point reflection; `GridSpec.yline_fold` unfolds a
-reflection-symmetric vector from its first half in that order. The
-1-based indices of the outputs (`solution.csv` and the tuples of
-`magnitude_violations`) add 1 where they are written.
+and `GridSpec.field` views a field as an (I, J, K) array. Reversing that
+order is the point reflection (i, j, k) -> (I-1-i, J-1-j, K-1-k): entry
+n-1-p is the mirror of entry p. The 1-based indices of the outputs
+(`solution.csv` and the tuples of `magnitude_violations`) add 1 where they
+are written.
 
 Nested refinement lives here too: `refine_nested` takes an axis's count to
 2*count - 1, which halves its spacing and keeps every coarse node
@@ -96,28 +95,6 @@ class GridSpec:
         """Entry of node (i, j, k) in a field vector, for ints or arrays;
         linear, so index(di, dj, dk) is the offset of a stencil step."""
         return (i * self.J + j) * self.K + k
-
-    def yline_order(self) -> np.ndarray:
-        """perm listing a field's entries by y-line, (i, k) then j; reversed,
-        it is the point reflection (i, j, k) -> (I-1-i, J-1-j, K-1-k)."""
-        return self.field(np.arange(self.n_nodes, dtype=np.int32)).transpose(0, 2, 1).ravel()
-
-    def yline_fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, sign) that unfold the point reflection in y-line order:
-        a y-line vector z with z = S R z, S = -1 on the Neumann nodes j = 0
-        and j = J-1, is z = sign * z[:n_f][source], n_f = (n+1)/2. The
-        first n_f entries are free, with source[p] = p and sign 1; entry
-        p >= n_f mirrors n-1-p, with sign S. The center node is the last free
-        entry, its own mirror."""
-        n = self.n_nodes
-        free = (n + 1) // 2
-        ahead = np.arange(free, dtype=np.int32)
-        source = np.concatenate([ahead, ahead[-2::-1]])
-        sign = np.ones((n // self.J, self.J))
-        sign[:, [0, -1]] = -1.0
-        sign = sign.ravel()
-        sign[:free] = 1.0
-        return source, sign
 
 
 def _axis(count: int, spacing: float) -> np.ndarray:

@@ -1,35 +1,38 @@
 """Krylov solve of the resolvent system and extraction of the statistic.
 
 Restarted GMRES, preconditioned on the left by a symmetric block
-Gauss-Seidel sweep over y-lines. In the order of `GridSpec.yline_order`,
-where each line of J nodes along y is contiguous, the matrix GMRES runs on
-splits into line blocks D + L + U, and the preconditioner applies
-(D+U)^-1 D (D+L)^-1 exactly (`_line_sweeps`). Each line block is
-pentadiagonal: the y diffusion and the second-order y upwind reach two
-nodes. Line (i, k) runs at level i + k, and L holds a line's couplings to
-lower levels, U those to higher ones. No two lines of a level couple: the
-x and z stencils reach at most two lines along i or k, and a fold, which
-keeps the first (n+1)/2 unknowns, mirrors couplings only into the rows
-i >= (I-1)/2 - 2, where the lines with k > (K-1)/2 run one level later. A
-folded system's (I+1)/2 + K - 1 levels are the wavefront of its half
-domain. Each half runs level by level, three compiled calls a level:
-scipy's CSR kernel `csr_matvec` adds the level's couplings times the
-levels already solved into the level's slice, then two banded triangular
-solves (BLAS `dtbsv`) with the no-pivot LU of the level's line blocks. The
-lower half keeps the right-hand sides that it solved, and the upper half
-solves on them. That LU is the one factorization a solver makes, and it
-serves both sweeps. The sweeps keep their buffers per solver, so a
-solver's `precond` is not re-entrant.
+Gauss-Seidel sweep over y-lines. The solver numbers its unknowns once, in
+the order the sweep runs (`_sweep_order`): y-line by y-line, each line of
+J nodes along y contiguous, and the lines by level. Line (i, k) runs at
+level i + k. No two lines of a level couple: the x and z stencils reach at
+most two lines along i or k. A fold keeps one node of each mirror pair,
+the y-lines before the center line and that line's first half; it mirrors
+couplings only into the rows i >= (I-1)/2 - 2, where the lines with
+k > (K-1)/2 run one level later, and the center line's half runs last, in
+the top level. A folded system's (I+1)/2 + K - 1 levels are the wavefront
+of its half domain. The matrix GMRES runs on, `Ay`, splits into line
+blocks D + L + U, L holding each line's couplings to earlier lines and U
+those to later ones, and the preconditioner applies (D+U)^-1 D (D+L)^-1
+exactly (`_line_sweeps`). Each line block is pentadiagonal: the y
+diffusion and the second-order y upwind reach two nodes. Each half runs
+level by level, three compiled calls a level: scipy's CSR kernel
+`csr_matvec` adds the level's couplings times the levels already solved
+into the level's slice, then two banded triangular solves (BLAS `dtbsv`)
+with the no-pivot LU of the level's line blocks. The lower half keeps the
+right-hand sides that it solved, and the upper half solves on them. That
+LU is the one factorization a solver makes, and it serves both sweeps. The
+sweeps keep their buffers per solver, so a solver's `precond` is not
+re-entrant.
 
-R, the index reversal of the y-line order, is the point reflection
+R, the reversal of the natural order, is the point reflection
 (x, y, z) -> (-x, -y, -z), under which the oscillator is odd unless its
 force has a constant term; then R M R = S M, with S = -1 on the Neumann
 rows. The symmetry halves a solve whose right-hand side has it: an adjoint
 one, whose b = R b gives w = S R w, and a forward one built with `fold`,
 whose b = S R b gives v = R v. A band observable, the constant one and a
-crossing at level 0 are b = S R b. Either solution is fixed by its first
-(n+1)/2 unknowns in y-line order, so the solver folds the system onto
-them, and the sweep is that of the folded matrix's own line split.
+crossing at level 0 are b = S R b. Either solution is fixed by one node of
+each mirror pair, so the solver folds the system onto those, and the sweep
+is that of the folded matrix's own line split.
 
 The line blocks hold the stiff y diffusion and the beta drift; the x and
 z advection speeds depend on y only, so each half's upwind x/z transport
@@ -134,12 +137,12 @@ def _mirrors(M, neumann) -> bool:
     The assembly keeps R M R = S M with S = -1 on the Neumann rows whenever
     the oscillator is odd under the point reflection R (force.const = 0).
     Then a right-hand side with the symmetry gives a solution with it. R
-    reverses the natural order, as it does the y-line order, and reversing
-    both axes keeps M's sorted order: stored entry e of row p mirrors entry
-    nnz-1-e of row n-1-p. So the pointers, indices and signed data of the
-    first (n+1)/2 rows are compared with those of the last ones reversed,
-    one array at a time, without building R M R. The check reads the
-    matrix, not the model, so a matrix that does not fit is not folded.
+    reverses the natural order, and reversing both axes keeps M's sorted
+    order: stored entry e of row p mirrors entry nnz-1-e of row n-1-p. So
+    the pointers, indices and signed data of the first (n+1)/2 rows are
+    compared with those of the last ones reversed, one array at a time,
+    without building R M R. The check reads the matrix, not the model, so
+    a matrix that does not fit is not folded.
     """
     n, ptr = M.shape[0], M.indptr
     half = (n + 1) // 2
@@ -179,38 +182,68 @@ def _band_lu(band: np.ndarray) -> np.ndarray:
     return lu
 
 
-def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
+def _sweep_order(spec: GridSpec, folded: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    """The solver's one order: the natural node of each unknown, the
+    unknown that stands for each natural node, and the first unknown of
+    each level, with the end.
+
+    The unknowns run y-line by y-line, each line (i, k) in j order, and the
+    lines by level i + k, a stable sort that keeps a level's lines in
+    (i, k) order. A folded solver keeps the lines before the center line,
+    in (i, k) order, and the center line's first half, j <= (J-1)/2: one
+    node of each mirror pair p and n-1-p, and a node left out stands for
+    its mirror's unknown. There the lines with k > (K-1)/2 in the rows
+    i >= (I-1)/2 - 2 run one level later, and the center line's half runs
+    in the top level, last, so the center node is the last unknown. The
+    center line couples only to lines of lower levels, and the one other
+    line of the top level, ((I-1)/2 - 1, K - 1), couples to none of it, as
+    K >= 3; so moving it there leaves L, U and the number of levels as
+    they are.
+    """
+    I, J, K = spec.shape
+    i, k = np.divmod(np.arange(I * K, dtype=np.int32), K)
+    level = i + k
+    if folded:
+        center = (I * K - 1) // 2  # the line (i, k) = ((I-1)/2, (K-1)/2)
+        i, k, level = i[: center + 1], k[: center + 1], level[: center + 1]
+        level += (k > (K - 1) // 2) & (i >= (I - 1) // 2 - 2)
+        level[-1] = level.max()  # the center line's half, to the top level
+    by_level = np.argsort(level, kind="stable")
+    size = (spec.n_nodes + 1) // 2 if folded else spec.n_nodes
+    node = spec.index(i[by_level, None], np.arange(J, dtype=np.int32), k[by_level, None])
+    node = node.ravel()[:size]
+    # a node left out stands for its mirror's unknown, any other for its own
+    where = np.empty(spec.n_nodes, dtype=np.int32)
+    where[spec.n_nodes - 1 - node] = np.arange(size)
+    where[node] = np.arange(size)
+    bounds = np.minimum(J * np.concatenate([[0], np.cumsum(np.bincount(level))]), size)
+    return node, where, bounds.tolist()
+
+
+def _line_sweeps(Ay: sp.csr_matrix, bounds: list, spec: GridSpec, node: np.ndarray):
     """The symmetric block Gauss-Seidel sweep x = (D+U)^-1 D (D+L)^-1 r of
     Ay's split into y-lines of J unknowns, D + L + U, as a closure; with the
     number of stored line-factor entries and the level steps per
     application.
 
-    Line p // J of Ay is y-line (i, k) with i K + k = p // J; a folded Ay's
-    last line is the center line's free half. Line (i, k) runs at level
-    i + k, and the split is by level: L holds a line's couplings to lower
-    levels, U those to higher ones. Two facts keep the lines of a level
-    apart. The x and z stencils couple a line only to the lines at most two
-    steps away along i or k, which an unfolded Ay's levels separate. A fold
-    keeps the first (n+1)/2 unknowns, the rows i < (I-1)/2 and the center
-    row's first half, so the couplings it mirrors back join lines (i, k)
-    and (i', K-1-k) in rows (I-1)/2 - 2 to (I-1)/2; there the lines with
-    k > (K-1)/2 run one level later. Either way the levels order every
-    coupled pair as k-major ranking, (k, i) < (k', i'), does, and a folded
-    Ay has (I+1)/2 + K - 1 levels, the wavefront of its half domain. The
-    lines are sorted by level (a stable sort) and the unknowns
-    reordered level by level, each line contiguous, so a level's D is
-    banded over one slice. One no-pivot LU of the line blocks (`_band_lu`)
-    serves both sweeps. A level step is three compiled calls on views made
-    once here: scipy's CSR kernel `csr_matvec`, which accumulates y += A x,
-    adds the level's negated couplings times the solved levels into the
-    level's slice, and two BLAS `dtbsv` solve with its D. The lower sweep
-    (D+L) z = r keeps its right-hand sides q = r - L z, so the upper one
-    solves D x = q - U x on q's slices, down the levels, with no scratch;
-    the top level's x is its z. A line whose block reaches beyond
-    bandwidth 2 is the identity in the band and is inverted densely: the
-    fold makes two, the lines next to the center line whose x or z stencil
-    reaches across the center and folds back onto themselves,
-    j -> J-1-j. A zero or non-finite pivot raises
+    Ay is in the order of `_sweep_order`: line p // J, the y-line through
+    natural node node[p], its unknowns contiguous, and only the last line,
+    a folded Ay's center half, shorter than J. The lines come level by
+    level, level s holding the unknowns bounds[s] to bounds[s+1], and no
+    two lines of a level couple. So L holds the couplings to earlier lines
+    and U those to later ones, each in Ay's CSR order, and a level's D is
+    banded over one slice. One no-pivot LU of the line blocks
+    (`_band_lu`) serves both sweeps. A level step is three compiled calls
+    on views made once here: scipy's CSR kernel `csr_matvec`, which
+    accumulates y += A x, adds the level's negated couplings times the
+    solved levels into the level's slice, and two BLAS `dtbsv` solve with
+    its D. The lower sweep (D+L) z = r keeps its right-hand sides
+    q = r - L z, so the upper one solves D x = q - U x on q's slices, down
+    the levels, with no scratch; the top level's x is its z. A line whose
+    block reaches beyond bandwidth 2 is the identity in the band and is
+    inverted densely: the fold makes two, the lines next to the center
+    line whose x or z stencil reaches across the center and folds back
+    onto themselves, j -> J-1-j. A zero or non-finite pivot raises
     PreconditionerBreakdown, naming the line. q and z are the closure's
     own buffers, so it is not re-entrant: two calls on one solver must not
     overlap, as they could from two threads. It returns a new vector and
@@ -222,29 +255,16 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     row = np.repeat(np.arange(N, dtype=np.int32), np.diff(Ay.indptr))
     col, data = Ay.indices, Ay.data
     rline, cline = row // J, col // J
-    i, k = np.divmod(np.arange(n_lines), spec.K)
-    level = i + k
-    if N < spec.n_nodes:
-        level += (k > (spec.K - 1) // 2) & (i >= (spec.I - 1) // 2 - 2)
     # the entries of D, then those of L and of U, each in Ay's order
     inline = np.flatnonzero(rline == cline)
-    below = level.take(cline) < level.take(rline)
-    coupled = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below & (rline != cline))])
+    below = cline < rline
+    coupled = np.concatenate([np.flatnonzero(below), np.flatnonzero(cline > rline)])
     r, c, d = row.take(inline), col.take(inline), data.take(inline)
     offset = c - r
     wide = np.unique(r[np.abs(offset) > 2] // J)
-    del rline, cline, i, k, inline
-    # the unknowns level by level, each line in j order; only the last line
-    # can be shorter than J
-    by_level = np.argsort(level, kind="stable")
-    order = (by_level[:, None] * J + np.arange(J, dtype=np.int32)).ravel()
-    order = order[order < N]
-    pos = np.empty(N, dtype=np.int32)
-    pos[order] = np.arange(N, dtype=np.int32)
+    del rline, cline, inline
     lengths = np.full(n_lines, J)
     lengths[-1] = N - (n_lines - 1) * J
-    bounds = np.concatenate([[0], np.cumsum(lengths[by_level])])
-    bounds = bounds[np.concatenate([[0], np.cumsum(np.bincount(level))])].tolist()
 
     # D's band, in the (J, lines) layout of `_band_lu`, identity on padding
     # and on the wide lines; a folded Ay keeps entries apart, so they are summed
@@ -259,11 +279,10 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     bad = ~np.isfinite(lu).all(axis=0) | (lu[2] == 0.0)
     if bad.any():
         line, j = np.argwhere(bad.T)[0]
-        _breakdown(line, spec, f"at j = {j}")
-    # to level order: the lower factor's band holds (j+1, j) and (j+2, j) in
-    # rows 1 and 2 of column j, the upper one's (j-2, j), (j-1, j) and (j, j)
-    # in rows 0-2
-    l2, l1, u0, u1, u2 = lu.transpose(0, 2, 1).reshape(5, -1)[:, order]
+        _breakdown(node[line * J], spec, f"at j = {j}")
+    # the lower factor's band holds (j+1, j) and (j+2, j) in rows 1 and 2 of
+    # column j, the upper one's (j-2, j), (j-1, j) and (j, j) in rows 0-2
+    l2, l1, u0, u1, u2 = lu.transpose(0, 2, 1).reshape(5, -1)[:, :N]
     lower = np.zeros((3, N), order="F")
     upper = np.zeros((3, N), order="F")
     lower[0] = 1.0
@@ -278,22 +297,20 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
         np.add.at(block, (r[at] % J, c[at] % J), d[at])
         factor, piv, info = lapack.dgetrf(block)
         if info != 0 or not np.isfinite(factor).all():
-            _breakdown(line, spec, "in its dense LU")
-        start = int(pos[line * J])
-        span = slice(start, start + lengths[line])
-        dense.setdefault(int(level[line]), []).append((z[span], q[span], lapack.dgetri(factor, piv)[0]))
+            _breakdown(node[line * J], spec, "in its dense LU")
+        span = slice(line * J, line * J + lengths[line])
+        level = int(np.searchsorted(bounds, line * J, side="right")) - 1
+        dense.setdefault(level, []).append((z[span], q[span], lapack.dgetri(factor, piv)[0]))
     del r, c, d, offset
 
-    # the negated couplings in level order, grouped by a stable sort: the
-    # rows of L, then those of U, each row's entries in Ay's order; ptr[p]
-    # starts row p of L and ptr[N + p] row p of U
-    key = pos.take(row.take(coupled))
+    # the negated couplings: the rows of L, then those of U; ptr[p] starts
+    # row p of L and ptr[N + p] row p of U
+    key = row.take(coupled)
     key[np.count_nonzero(below) :] += N
-    by_row = coupled[np.argsort(key, kind="stable")]
-    cols, vals = pos.take(col.take(by_row)), -data.take(by_row)
+    cols, vals = col.take(coupled), -data.take(coupled)
     ptr = np.zeros(2 * N + 1, dtype=np.int32)
     np.cumsum(np.bincount(key, minlength=2 * N), out=ptr[1:])
-    del row, below, coupled, key, by_row
+    del row, below, coupled, key
     stored = lower.size + upper.size
     stored += sum(inv.size for blocks in dense.values() for *_, inv in blocks)
     # per level: its rows, its couplings below and above, its slices of q
@@ -305,9 +322,8 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
     ]
 
     def apply(r):
-        # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite);
-        # take with out and without mode="raise" gathers straight into q
-        np.take(r, order, out=q, mode="clip")
+        # dtbsv takes (k, band, x, incx, offx, lower, trans, unit, overwrite)
+        q[:] = r
         for rows, l_ptr, _, q_s, z_s, a, lo, up, blocks in steps:
             csr_matvec(rows, N, l_ptr, cols, vals, z, q_s)
             z_s[:] = q_s
@@ -322,14 +338,15 @@ def _line_sweeps(Ay: sp.csr_matrix, spec: GridSpec):
             dtbsv(2, up, q, 1, a, 0, 0, 0, 1)
             for _, q_line, inv in blocks:
                 q_line[:] = inv @ q_line
-        return q.take(pos)
+        return q.copy()
 
     return apply, stored, 2 * len(steps) - 1
 
 
-def _breakdown(line: int, spec: GridSpec, where: str):
-    """Raise PreconditionerBreakdown for the block of y-line number `line`."""
-    i, k = divmod(int(line), spec.K)
+def _breakdown(node: int, spec: GridSpec, where: str):
+    """Raise PreconditionerBreakdown for the block of the y-line through
+    natural node `node`."""
+    i, _, k = np.unravel_index(node, spec.shape)
     raise PreconditionerBreakdown(
         f"the block of the y-line at (i, k) = ({i}, {k}) has a zero or non-finite "
         f"pivot {where}; the line Gauss-Seidel preconditioner cannot be built"
@@ -418,22 +435,6 @@ def _gmres(A, b, precond, tol, restart, cycles, norm):
     return v, steps
 
 
-def _fold(rows, inv, source, sign) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The folded matrix, from `rows`, the top n_f = (n+1)/2 rows of the
-    y-line matrix the solver inverts with their natural-order columns: P M
-    forward, P M^T adjoint. Each column moves to its y-line position
-    p = inv[column], and p >= n_f on to source[p] = n-1-p with sign[p], 1
-    forward and adjoint the sign S of p (`GridSpec.yline_fold`); no two
-    entries are summed. Returns it as CSR, with the positions of the stored
-    entries that moved."""
-    free = rows.shape[0]
-    at = inv.take(rows.indices)
-    folded = sp.csr_matrix(
-        (sign.take(at) * rows.data, source.take(at), rows.indptr), shape=(free, free)
-    )
-    return folded, np.flatnonzero(at >= free)
-
-
 def reflection_symmetric(b: np.ndarray, spec: GridSpec, neumann: float = 1.0) -> bool:
     """Whether b = s R b bit for bit, with R the point reflection
     (i, j, k) -> (I-1-i, J-1-j, K-1-k) and s = `neumann` on the Neumann
@@ -457,32 +458,33 @@ class ResolventSolver:
     """Builds the preconditioner once and solves any number of right-hand
     sides, of M v = b, or with `adjoint` of M^T w = b.
 
-    GMRES runs on the y-line matrix `Ay` in `GridSpec.yline_order`: P M P^T
-    forward, and adjoint P M^T P^T, whose rows are gathered once from M's
-    CSR, or from its CSC read as the CSR of M^T. `precond` is the symmetric
-    block Gauss-Seidel sweep (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into
-    lines of J (`_line_sweeps`), solved exactly, level by level; its line
-    factors are the one factorization (`factor_nnz` stored entries,
-    `levels` level steps per application). `precond` works in buffers of
-    its own, so two of its calls on one solver must not overlap, as from
-    two threads; two solvers do not share them. `solve` takes and returns
-    natural-order vectors and permutes each once (`to_yline`,
-    `to_natural`). `A` rebuilds the natural-order matrix, M or M^T, on each
-    access; the solver keeps only `Ay`.
+    GMRES runs on `Ay`, the matrix in the order of `_sweep_order`: unknown p
+    stands for natural node node[p], and its row is that node's row of M,
+    or adjoint of M^T, gathered once from M's CSR, or from its CSC read as
+    the CSR of M^T. Each column moves to the unknown that stands for its
+    node. `precond` is the symmetric block Gauss-Seidel sweep
+    (D+U)^-1 D (D+L)^-1 of `Ay`'s own split into lines of J
+    (`_line_sweeps`), solved exactly, level by level; its line factors are
+    the one factorization (`factor_nnz` stored entries, `levels` level
+    steps per application). `precond` works in buffers of its own, so two
+    of its calls on one solver must not overlap, as from two threads; two
+    solvers do not share them. `solve` takes and returns natural-order
+    vectors, gathering each once (`to_yline`, `to_natural`). `A` rebuilds
+    the natural-order matrix, M or M^T, on each access; the solver keeps
+    only `Ay`.
 
     When R M R = S M bit for bit (`_mirrors`), the solver is `folded` when
     `fold` asks for it, which it does by default for an adjoint solver and
     not for a forward one: only the caller knows that its right-hand sides
-    are symmetric. Then an adjoint b = R b has the solution w = S R w, and a forward b = S R b has v = R v, so in
-    y-line order only the first n_f = (n+1)/2 unknowns are free
-    (`GridSpec.yline_fold`). `Ay` is then the n_f x n_f matrix of the top
-    n_f rows of P M^T P^T, each column p >= n_f folded onto column n-1-p
-    with the sign S, or forward of P M P^T with sign 1. It keeps every entry
-    apart, so a folded entry may share its column with another and `A` can
-    unfold it. Its last line is the center line's free half. GMRES and the
-    final check measure the residual by `_folded_norm`, the norm of the full
-    residual, and a right-hand side without the symmetry raises
-    DegenerateInput (`to_yline`).
+    are symmetric. Then an adjoint b = R b has the solution w = S R w, and
+    a forward b = S R b has v = R v, so only n_f = (n+1)/2 unknowns are
+    free, one node of each mirror pair. A column of a node left out moves
+    onto its mirror's unknown, with the sign S adjoint and 1 forward. `Ay`
+    keeps every entry apart, so a folded entry may share its column with
+    another and `A` can unfold it. The center node is the last unknown.
+    GMRES and the final check measure the residual by `_folded_norm`, the
+    norm of the full residual, and a right-hand side without the symmetry
+    raises DegenerateInput (`to_yline`).
     """
 
     def __init__(
@@ -496,54 +498,46 @@ class ResolventSolver:
         self.adjoint = adjoint
         self.spec = sys.spec
         self.n = n = sys.n
-        J = sys.spec.J
         M = sys.to_csr()
-        self.folded = adjoint if fold is None else fold
-        if self.folded:
-            # S = -1 on the Neumann rows, j in {0, J-1}
-            j = np.arange(n) // sys.spec.K % J
-            self.folded = _mirrors(M, (j == 0) | (j == J - 1))
-            del j
-        # the rows of P M, adjoint of P M^T, that the solver inverts, the
-        # first n_f when it folds; (P v)[p] = v[perm[p]]
-        self._perm = perm = sys.spec.yline_order()
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(n, dtype=np.int32)
-        rows = (M.T.tocsr() if adjoint else M)[perm[: (n + 1) // 2 if self.folded else n]]
+        # S = -1 on the Neumann rows, j in {0, J-1}
+        self._neumann = np.zeros(n, dtype=bool)
+        sys.spec.field(self._neumann)[:, [0, -1]] = True
+        self.folded = bool(adjoint if fold is None else fold) and _mirrors(M, self._neumann)
+        self._node, self._where, bounds = _sweep_order(sys.spec, self.folded)
+        size = self._node.size
+        # w = S R w adjoint, v = R v forward: a node left out is its
+        # mirror's unknown times S, or times 1
+        left_out = self._node.take(self._where) != np.arange(n)
+        self._unfold = np.where(left_out & self._neumann & adjoint, -1.0, 1.0)
+        rows = (M.T.tocsr() if adjoint else M)[self._node]
         del M
+        rows.data *= self._unfold.take(rows.indices)
+        # the stored entries whose column moved onto its mirror's unknown
+        self._moved = np.flatnonzero(left_out.take(rows.indices))
+        at = self._where.take(rows.indices)
+        self.Ay = sp.csr_matrix((rows.data, at, rows.indptr), shape=(size, size))
+        del rows, at, left_out
         self._norm = _folded_norm if self.folded else _norm
-        if self.folded:
-            # w = S R w adjoint, v = R v forward
-            self._source, self._sign = sys.spec.yline_fold()
-            if not adjoint:
-                self._sign = np.ones(n)
-            self.Ay, self._folded_at = _fold(rows, inv, self._source, self._sign)
-        else:
-            self.Ay = sp.csr_matrix((rows.data, inv.take(rows.indices), rows.indptr), shape=(n, n))
-        del rows, inv
-        self.precond, self.factor_nnz, self.levels = _line_sweeps(self.Ay, sys.spec)
+        self.precond, self.factor_nnz, self.levels = _line_sweeps(
+            self.Ay, bounds, sys.spec, self._node
+        )
 
     def to_yline(self, b: np.ndarray) -> np.ndarray:
-        """P b, cut to the rows of `Ay`: a natural-order right-hand side in
-        the order of `Ay`. A folded solver raises DegenerateInput unless
-        b = R b (adjoint) or b = S R b (forward) bit for bit
-        (`reflection_symmetric`)."""
+        """A natural-order right-hand side in the order of `Ay`. A folded
+        solver raises DegenerateInput unless b = R b (adjoint) or
+        b = S R b (forward) bit for bit (`reflection_symmetric`)."""
         if self.folded and not reflection_symmetric(b, self.spec, 1.0 if self.adjoint else -1.0):
             direction, symmetry = ("adjoint", "R b") if self.adjoint else ("forward", "S R b")
             raise DegenerateInput(
                 f"a folded {direction} solver needs a right-hand side b = {symmetry}, "
                 "symmetric under the point reflection"
             )
-        return b[self._perm[: self.Ay.shape[0]]]
+        return b.take(self._node)
 
     def to_natural(self, z: np.ndarray) -> np.ndarray:
-        """P^T z: a solution of `Ay` in natural order, unfolded to
-        w = S R w (adjoint) or v = R v (forward) when the solver is folded."""
-        if self.folded:
-            z = self._sign * z[self._source]
-        v = np.empty(self.n)
-        v[self._perm] = z
-        return v
+        """A solution of `Ay` in natural order, unfolded to w = S R w
+        (adjoint) or v = R v (forward) when the solver is folded."""
+        return self._unfold * z.take(self._where)
 
     @property
     def A(self) -> sp.csr_matrix:
@@ -551,24 +545,20 @@ class ResolventSolver:
         M^T, rebuilt from `Ay` on each access; a folded `Ay` is unfolded
         first, bit for bit."""
         coo = self.Ay.tocoo()
-        perm = self._perm
-        if not self.folded:
-            return sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=coo.shape)
-        # unfold the columns into the top n_f rows of the y-line matrix, then
-        # add every row but the center's mirror: R (P M P^T) R = S P M P^T,
-        # so R (P M^T P^T) R = P M^T P^T S
-        n, at = self.n, self._folded_at
-        row, col, data = coo.row, coo.col.copy(), coo.data.copy()
-        col[at] = n - 1 - col[at]
-        data[at] *= self._sign[col[at]]
-        low = row < self.Ay.shape[0] - 1
-        # S of the y-line position: -1 at the ends of each line
-        j = (col[low] if self.adjoint else row[low]) % self.spec.J
-        neumann = np.where((j == 0) | (j == self.spec.J - 1), -1.0, 1.0)
-        row = np.concatenate([row, n - 1 - row[low]])
-        data = np.concatenate([data, neumann * data[low]])
-        col = np.concatenate([col, n - 1 - col[low]])
-        return sp.csr_matrix((data, (perm[row], perm[col])), shape=(n, n))
+        row, col, data = self._node.take(coo.row), self._node.take(coo.col), coo.data.copy()
+        if self.folded:
+            # move the folded columns back, then add every row but the
+            # center's mirror: M[n-1-p, n-1-q] = S_p M[p, q], so
+            # M^T[n-1-p, n-1-q] = S_q M^T[p, q]
+            n, at = self.n, self._moved
+            col[at] = n - 1 - col[at]
+            data[at] *= self._unfold.take(col[at])
+            low = coo.row < self.Ay.shape[0] - 1
+            neumann = self._neumann.take((col if self.adjoint else row)[low])
+            row = np.concatenate([row, n - 1 - row[low]])
+            col = np.concatenate([col, n - 1 - col[low]])
+            data = np.concatenate([data, np.where(neumann, -data[low], data[low])])
+        return sp.csr_matrix((data, (row, col)), shape=(self.n, self.n))
 
     def solve(self, b: np.ndarray) -> SolveReport:
         """Solve M v = b (M^T v = b with `adjoint`) to

@@ -913,7 +913,7 @@ _PIN_MC = "sim.n_steps = 600\nsim.n_paths = 4\nsim.dt = 0.02\nobservable.eps0 = 
 CLI_SUMMARIES = {
     "solve": (
         _PIN_GRID + "observable.kind = band\nobservable.a2 = 1.0\n",
-        ["statistic=0.62342569 spread=0.0524 residual=4.73e-11 iterations=12"],
+        ["statistic=0.62342569 spread=0.0524 residual=4.68e-11 iterations=12"],
     ),
     "simulate": (
         "sim.n_steps = 400\nsim.dt = 1e-2\n",

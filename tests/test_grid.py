@@ -51,32 +51,9 @@ def test_unscaled_coordinates():
     assert g.x[0] * spec.lam == pytest.approx(-2.0e-2)
 
 
-def test_index_and_yline_order_number_a_non_cubic_spec():
+def test_index_numbers_a_non_cubic_spec():
     spec = GridSpec(lam=0.1, I=5, J=7, K=3)
     nodes = spec.field(np.arange(spec.n_nodes))
     assert all(spec.index(i, j, k) == nodes[i, j, k] for i, j, k in np.ndindex(spec.shape))
     i, j, k = (a.ravel() for a in np.indices(spec.shape))
     assert (spec.index(i, j, k) == nodes.ravel()).all()
-    perm = spec.yline_order()
-    assert (np.sort(perm) == np.arange(spec.n_nodes)).all()
-    # each (i, k) line is contiguous, with j counting up along it, and the
-    # lines come in (i, k) order
-    lines = [a[perm].reshape(-1, spec.J) for a in (i, j, k)]
-    assert (lines[0] == np.repeat(np.arange(spec.I), spec.K)[:, None]).all()
-    assert (lines[2] == np.tile(np.arange(spec.K), spec.I)[:, None]).all()
-    assert (lines[1] == np.arange(spec.J)).all()
-    # the reversed order is the point reflection
-    I, J, K = spec.shape
-    assert (perm[::-1] == spec.index(I - 1 - i[perm], J - 1 - j[perm], K - 1 - k[perm])).all()
-
-
-def test_yline_fold_rebuilds_a_reflection_symmetric_vector_from_its_first_half():
-    spec = GridSpec(lam=0.1, I=5, J=7, K=3)
-    n, free = spec.n_nodes, (spec.n_nodes + 1) // 2
-    source, sign = spec.yline_fold()
-    assert (source[:free] == np.arange(free)).all() and (sign[:free] == 1.0).all()
-    # z = S R z in the y-line order, S = -1 on the Neumann nodes j = 0, J-1
-    neumann = np.where(np.isin(np.arange(n) % spec.J, (0, spec.J - 1)), -1.0, 1.0)
-    z = np.random.default_rng(0).standard_normal(n)
-    z = z + neumann * z[::-1]
-    assert np.array_equal(sign * z[:free][source], z)

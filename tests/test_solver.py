@@ -26,6 +26,7 @@ from bepo.solver import (
     evaluate_statistic,
     invariant_weights,
     magnitude_violations,
+    reflection_symmetric,
     rice_rate,
     solve_resolvent,
     weight_diagnostics,
@@ -277,7 +278,7 @@ def test_elongated_band_system_solves_to_rel_tol():
 
 def _natural_precond(solver):
     """The solver's preconditioner, which acts on vectors in the order of
-    its y-line matrix, as an operator on natural-order vectors."""
+    `Ay`, as an operator on natural-order vectors."""
     columns = [solver.to_natural(solver.precond(solver.to_yline(e))) for e in np.eye(solver.n)]
     return np.column_stack(columns)
 
@@ -330,12 +331,13 @@ def test_transposed_solver_preconditions_with_the_transpose():
     assert np.array_equal(adjoint.A.toarray(), matrix.to_csr().toarray().T)
 
 
-def _dense_fold(matrix, I, J, K, adjoint=True):
+def _dense_fold(matrix, I, J, K, adjoint=True, folded=True):
     """The top n_f = (n+1)/2 rows of P M^T P^T from a dense M^T, each column
     q >= n_f added onto column n-1-q with the Neumann sign of q; forward
-    the top rows of P M P^T, each column added with sign 1."""
+    the top rows of P M P^T, each column added with sign 1. Not `folded`,
+    all of P M^T P^T or P M P^T."""
     n = I * J * K
-    free = (n + 1) // 2
+    free = (n + 1) // 2 if folded else n
     perm = np.arange(n).reshape(I, J, K).transpose(0, 2, 1).ravel()
     dense = matrix.to_csr().toarray()
     top = (dense.T if adjoint else dense)[np.ix_(perm[:free], perm)]
@@ -344,6 +346,21 @@ def _dense_fold(matrix, I, J, K, adjoint=True):
     for q in range(free, n):
         folded[:, n - 1 - q] += sign[q] * top[:, q]
     return folded
+
+
+def _yline_positions(solver):
+    """The y-line position (i K + k) J + j of each unknown's natural node
+    (i, j, k): the map from the solver's order onto the y-line order."""
+    i, j, k = np.unravel_index(solver._node, solver.spec.shape)
+    return (i * solver.spec.K + k) * solver.spec.J + j
+
+
+def _to_yline_order(solver, square):
+    """A square matrix in the solver's order, renumbered into y-line order."""
+    y = _yline_positions(solver)
+    out = np.zeros_like(square)
+    out[np.ix_(y, y)] = square
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,23 +378,30 @@ def _dense_fold(matrix, I, J, K, adjoint=True):
 @example(I=5, J=3, K=7, direction="adjoint", model=MODEL)
 @example(I=3, J=5, K=5, direction="folded forward", model=ALTERED)
 def test_line_sweeps_equal_the_dense_symmetric_gauss_seidel(I, J, K, direction, model):
-    """On every shape, direction and fold, `precond` applies the dense
-    (D+U)^-1 D (D+L)^-1 of `Ay`'s own line split to 1e-12, the lines ranked
-    k-major. The adjoint solver folds unless the force has an offset; a
-    folded forward one is asked to. The examples take the two off-center
-    lines whose x and z stencils the fold sends back onto themselves, dense
-    blocks; J = 3, where no line couples to another; and folded I = 5 and
-    I = 3, whose shifted rows near the center plane start at row 0. Every
-    application takes 2 L - 1 level steps, L = (I+1)/2 + K - 1 folded, the
-    half-domain wavefront, and L = I + K - 1 unfolded."""
+    """On every shape, direction and fold, `Ay` renumbered into y-line order
+    is the dense y-line matrix, folded when the solver folds, exactly, and
+    `precond` applies the dense (D+U)^-1 D (D+L)^-1 of that matrix's line
+    split to 1e-12, the lines ranked k-major. The adjoint solver folds
+    unless the force has an offset; a folded forward one is asked to. The
+    examples take the two off-center lines whose x and z stencils the fold
+    sends back onto themselves, dense blocks; J = 3, where no line couples
+    to another; and folded I = 5 and I = 3, whose shifted rows near the
+    center plane start at row 0. Every application takes 2 L - 1 level
+    steps, L = (I+1)/2 + K - 1 folded, the half-domain wavefront, and
+    L = I + K - 1 unfolded."""
     grid, matrix = _band_system(I, J, K, lam=1e-3, model=model)
+    adjoint = direction == "adjoint"
     solver = ResolventSolver(
-        matrix, adjoint=direction == "adjoint", fold=True if direction == "folded forward" else None
+        matrix, adjoint=adjoint, fold=True if direction == "folded forward" else None
     )
-    expected, wide = _dense_line_sgs(solver.Ay.toarray(), I, J, K)
+    Ay = _to_yline_order(solver, solver.Ay.toarray())
+    assert np.array_equal(Ay, _dense_fold(matrix, I, J, K, adjoint, solver.folded))
+    expected, wide = _dense_line_sgs(Ay, I, J, K)
+    # r in y-line order, gathered into the solver's
+    y = _yline_positions(solver)
     r = np.random.default_rng(I * 100 + J * 10 + K).standard_normal((solver.Ay.shape[0], 3))
-    got = np.column_stack([solver.precond(column) for column in r.T])
-    want = expected @ r
+    got = np.column_stack([solver.precond(column[y]) for column in r.T])
+    want = (expected @ r)[y]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     if (I, J, K) == (9, 7, 9) and solver.folded:
         # (i, k) = (3, 4) and (4, 3), numbered i K + k
@@ -440,9 +464,10 @@ def test_folded_solver_preconditions_with_the_folded_sweeps():
     solver = ResolventSolver(matrix, adjoint=True)
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K)
-    assert np.array_equal(solver.Ay.toarray(), folded)
+    assert np.array_equal(_to_yline_order(solver, solver.Ay.toarray()), folded)
     expected, _ = _dense_line_sgs(folded, I, J, K)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
+    got = _to_yline_order(solver, got)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray().T)
 
@@ -509,11 +534,45 @@ def test_folded_forward_solver_preconditions_with_the_folded_sweeps():
     solver = ResolventSolver(matrix, fold=True)
     assert solver.folded
     folded = _dense_fold(matrix, I, J, K, adjoint=False)
-    assert np.array_equal(solver.Ay.toarray(), folded)
+    assert np.array_equal(_to_yline_order(solver, solver.Ay.toarray()), folded)
     expected, _ = _dense_line_sgs(folded, I, J, K)
     got = np.column_stack([solver.precond(e) for e in np.eye(folded.shape[0])])
+    got = _to_yline_order(solver, got)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(solver.A.toarray(), matrix.to_csr().toarray())
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 3), (3, 5, 5)], ids=str)
+@pytest.mark.parametrize("model", [MODEL, OFFSET], ids=["default", "offset"])
+@pytest.mark.parametrize("adjoint, fold", [(False, None), (False, True), (True, None)])
+def test_every_natural_node_is_given_by_one_unknown(shape, model, adjoint, fold):
+    """The solver's order numbers each natural node once: as an unknown of
+    its own or, folded, as its mirror's n-1-p, times S adjoint and 1
+    forward, so that any vector of unknowns unfolds to w = S R w or v = R v
+    bit for bit. A folded solver's last unknown is the center node. A
+    right-hand side that the solver takes comes back from the solver's
+    order bit for bit when it also has the solution's symmetry: any b
+    unfolded, and folded a b = R b that is 0 on the Neumann rows."""
+    I, J, K = shape
+    grid, matrix = _band_system(I, J, K, model=model)
+    solver = ResolventSolver(matrix, adjoint=adjoint, fold=fold)
+    n, size = matrix.n, solver.Ay.shape[0]
+    assert solver.folded == (model is MODEL and (adjoint or fold is True))
+    # column p: the natural vector that unknown p stands for
+    given = np.column_stack([solver.to_natural(e) for e in np.eye(size)])
+    assert (np.count_nonzero(given, axis=1) == 1).all()
+    assert set(np.abs(given[given != 0.0]).tolist()) == {1.0}
+    rng = np.random.default_rng(5)
+    if solver.folded:
+        center = grid.spec.index(*grid.center)
+        assert np.flatnonzero(given[:, -1]).tolist() == [center]
+        v = solver.to_natural(rng.standard_normal(size))
+        assert reflection_symmetric(v, grid.spec, -1.0 if adjoint else 1.0)
+    b = rng.standard_normal(n)
+    if solver.folded:
+        b = b + b[::-1]
+        grid.spec.field(b)[:, [0, -1]] = 0.0
+    assert np.array_equal(solver.to_natural(solver.to_yline(b)), b)
 
 
 @pytest.mark.parametrize("model", [MODEL, ALTERED], ids=["default", "altered"])
